@@ -71,10 +71,9 @@ void BM_FatTreeHRelation(benchmark::State& state) {
 }
 BENCHMARK(BM_FatTreeHRelation)->Arg(8)->Arg(64);
 
-/// A full machine superstep loop (charge / exchange / barrier) with the
-/// observability plane compiled in. Run with --benchmark_filter=Superstep
-/// and PCM_OBS unset vs PCM_OBS=1 to measure the plane's overhead; the
-/// disabled case must stay within noise (<2%) of a PCM_OBS=OFF build.
+/// A full machine superstep loop (charge / exchange / barrier). Run with
+/// --benchmark_filter=Superstep and PCM_OBS unset vs PCM_OBS=1 to measure
+/// the observability plane's overhead when on.
 void BM_MachineSuperstepLoop(benchmark::State& state) {
   const int procs = static_cast<int>(state.range(0));
   auto m = machines::make_machine(

@@ -1,7 +1,7 @@
 // pcmtool — command-line driver for the library. A downstream user's entry
 // point: list the paper's experiments, calibrate a simulated machine, or run
 // an algorithm with measured-vs-predicted output and an optional
-// compute/communication breakdown.
+// compute/communication/barrier breakdown of its simulated time.
 //
 //   pcmtool list
 //   pcmtool params
@@ -124,11 +124,14 @@ int usage() {
          "  apsp   <machine> [--n= --breakdown]\n"
          "machines: maspar, gcel, cm5, t800 — or a spec like "
          "\"gcel:procs=16:seed=7\"\n"
+         "  --breakdown  split the run's simulated makespan into compute,\n"
+         "               communication and barrier shares; compute is the\n"
+         "               makespan not spent in exchanges or barriers\n"
          "global flags: --audit  check runtime invariants while the command\n"
-         "                       runs (requires a -DPCM_AUDIT=ON build)\n"
+         "                       runs\n"
          "              --race   check BSP superstep ordering (split-phase\n"
          "                       conflicts, stale mailbox reads) while the\n"
-         "                       command runs (requires a -DPCM_RACE=ON build)\n"
+         "                       command runs\n"
          "              --fault=SPEC  inject deterministic faults while the\n"
          "                       command runs; SPEC is kind[:rate=R]\n"
          "                       [:severity=X][:seed=S][:from=A][:to=B] with\n"
@@ -136,32 +139,36 @@ int usage() {
          "                       straggler, barrier-stall\n"
          "              --metrics  print the superstep-resolved metric summary\n"
          "                       (packets, waves, conflicts, queue peaks,\n"
-         "                       barrier skew; requires -DPCM_OBS=ON)\n"
+         "                       barrier skew)\n"
          "              --trace-out=FILE  write a Chrome trace-event JSON of\n"
          "                       the command's run (open in Perfetto or\n"
-         "                       chrome://tracing; requires -DPCM_OBS=ON)\n"
+         "                       chrome://tracing)\n"
          "exit codes: 0 ok, 1 wrong output, 2 usage, 3 invariant violation\n"
          "            (AuditError), 4 superstep race (RaceError), 5 other\n"
          "            runtime failure\n";
   return 2;
 }
 
-void breakdown(machines::Machine& m) {
-  const auto& t = m.trace();
-  // Compute charges are recorded per processor; communication and barrier
-  // records are wall-clock phases. Average the compute over the processors
-  // to put everything in wall-clock terms (balanced SPMD assumption).
-  const double comp =
-      t.total(sim::PhaseKind::Compute) / static_cast<double>(m.procs());
-  const double comm = t.total(sim::PhaseKind::Communicate);
-  const double barr = t.total(sim::PhaseKind::Barrier);
-  const double total = comp + comm + barr;
+/// The paper's Section 5 split of a run's simulated time, from the spans
+/// that tile [0, makespan]: exchanges and barriers are their own spans, and
+/// compute is the rest of the makespan, so the three shares sum to 100%.
+void breakdown(const std::vector<obs::Span>& spans) {
+  double total = 0.0, comm = 0.0, barr = 0.0;
+  std::uint64_t messages = 0, bytes = 0;
+  for (const auto& s : spans) {
+    total += s.duration;
+    if (s.kind == obs::SpanKind::Communicate) comm += s.duration;
+    if (s.kind == obs::SpanKind::Barrier) barr += s.duration;
+    messages += s.messages;
+    bytes += s.bytes;
+  }
   if (total <= 0.0) return;
+  const double comp = total - comm - barr;
   std::cout << "breakdown: compute " << report::Table::num(100.0 * comp / total, 1)
             << "%, communication " << report::Table::num(100.0 * comm / total, 1)
             << "%, barriers " << report::Table::num(100.0 * barr / total, 1)
-            << "%  (" << t.total_messages() << " messages, "
-            << t.total_bytes() << " payload bytes)\n";
+            << "%  (" << messages << " messages, " << bytes
+            << " payload bytes)\n";
 }
 
 int cmd_list() {
@@ -221,7 +228,7 @@ int cmd_matmul(machines::Machine& m, const Options& o) {
   for (auto& x : a) x = rng.next_double();
   for (auto& x : b) x = rng.next_double();
 
-  if (o.has("breakdown")) m.trace().set_enabled(true);
+  if (o.has("breakdown")) m.set_observing(true);
   const auto r = algos::run_matmul<double>(m, a, b, n, v);
   obs_capture(m);
   const auto ok = algos::ref::matmul(a, b, n);
@@ -232,7 +239,6 @@ int cmd_matmul(machines::Machine& m, const Options& o) {
   copts.trials = 5;
   copts.fit_t_unb = false;
   copts.fit_mscat = false;
-  m.trace().set_enabled(false);
   const auto params = calibrate::calibrate(m, copts);
   const int q = algos::matmul_q(m);
   double pred = 0.0;
@@ -250,6 +256,7 @@ int cmd_matmul(machines::Machine& m, const Options& o) {
             << diff << "\n  predicted " << report::Table::num(pred / 1e3, 1)
             << " ms (" << report::Table::num(100.0 * (pred - r.time) / r.time, 1)
             << "% error)\n";
+  if (o.has("breakdown")) breakdown(g_obs.spans);
   return diff > 1e-6 ? 1 : 0;
 }
 
@@ -263,7 +270,7 @@ int cmd_sort(machines::Machine& m, const Options& o) {
                                   static_cast<std::size_t>(m.procs()));
   for (auto& k : keys) k = static_cast<std::uint32_t>(rng.next_u64());
 
-  if (o.has("breakdown")) m.trace().set_enabled(true);
+  if (o.has("breakdown")) m.set_observing(true);
   double time = 0.0, per_key = 0.0;
   bool sorted = false;
   if (algo == "samplesort") {
@@ -292,7 +299,7 @@ int cmd_sort(machines::Machine& m, const Options& o) {
             << report::Table::num(time / 1e3, 1) << " ms total, "
             << report::Table::num(per_key, 1) << " us/key, "
             << (sorted ? "output sorted" : "OUTPUT NOT SORTED!") << "\n";
-  breakdown(m);
+  if (o.has("breakdown")) breakdown(g_obs.spans);
   return sorted ? 0 : 1;
 }
 
@@ -301,7 +308,7 @@ int cmd_apsp(machines::Machine& m, const Options& o) {
   int n = static_cast<int>(o.get("n", 128));
   n = ((n + s - 1) / s) * s;
   const auto d0 = algos::ref::random_digraph(n, 0.05, 3);
-  if (o.has("breakdown")) m.trace().set_enabled(true);
+  if (o.has("breakdown")) m.set_observing(true);
   const auto v = (m.name().find("MasPar") != std::string_view::npos)
                      ? algos::ApspVariant::MpBsp
                      : algos::ApspVariant::Bsp;
@@ -315,7 +322,7 @@ int cmd_apsp(machines::Machine& m, const Options& o) {
   std::cout << "apsp N=" << n << " on " << m.name() << ": "
             << report::Table::num(r.time / 1e3, 1)
             << " ms, max|diff vs Floyd| = " << diff << "\n";
-  breakdown(m);
+  if (o.has("breakdown")) breakdown(g_obs.spans);
   return diff > 0.0 ? 1 : 0;
 }
 
@@ -323,16 +330,8 @@ int cmd_apsp(machines::Machine& m, const Options& o) {
 
 int main(int argc, char** argv) {
   const auto o = parse(argc, argv);
-  if (o.has("audit") && !audit::set_enabled(true)) {
-    std::cerr << "pcmtool: --audit requires a build with -DPCM_AUDIT=ON (the "
-                 "auditor was compiled out)\n";
-    return 2;
-  }
-  if (o.has("race") && !race::set_enabled(true)) {
-    std::cerr << "pcmtool: --race requires a build with -DPCM_RACE=ON (the "
-                 "race detector was compiled out)\n";
-    return 2;
-  }
+  if (o.has("audit")) audit::set_enabled(true);
+  if (o.has("race")) race::set_enabled(true);
   if (o.has("fault")) {
     try {
       fault::set_plan(fault::parse_fault_plan(o.get("fault", std::string())));
@@ -342,11 +341,7 @@ int main(int argc, char** argv) {
     }
   }
   const std::string trace_out = o.get("trace-out", std::string());
-  if ((o.has("metrics") || !trace_out.empty()) && !obs::set_enabled(true)) {
-    std::cerr << "pcmtool: --metrics/--trace-out require a build with "
-                 "-DPCM_OBS=ON (the observability plane was compiled out)\n";
-    return 2;
-  }
+  if (o.has("metrics") || !trace_out.empty()) obs::set_enabled(true);
   if (o.command == "list") return cmd_list();
   if (o.command == "params") return cmd_params();
 

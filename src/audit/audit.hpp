@@ -2,10 +2,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <utility>
+
+#include "sim/env_switch.hpp"
 
 // pcm::audit — the runtime invariant auditor.
 //
@@ -31,21 +32,12 @@
 // A violation raises AuditError naming the machine, the superstep and the
 // resource involved.
 //
-// Compile-time gate: the PCM_AUDIT CMake option defines PCM_AUDIT_ENABLED.
-// With it OFF every hook collapses to `if (false)` and the auditor costs
-// nothing. With it ON (the default) the hooks cost one predictable branch
-// while disabled at runtime; the `--audit` flag of the bench harness and
-// pcmtool (or PCM_AUDIT=1 in the environment, or audit::set_enabled) turns
-// the checks on.
-
-#ifndef PCM_AUDIT_ENABLED
-#define PCM_AUDIT_ENABLED 1
-#endif
+// Run-time gate (sim/env_switch.hpp): the hooks cost one predictable branch
+// while auditing is off; the `--audit` flag of the bench harness and pcmtool
+// (or PCM_AUDIT=1 in the environment, or audit::set_enabled) turns the
+// checks on.
 
 namespace pcm::audit {
-
-/// True when the auditor was compiled in (-DPCM_AUDIT=ON).
-constexpr bool compiled_in() { return PCM_AUDIT_ENABLED != 0; }
 
 /// A violated simulator invariant. `machine` and `superstep` are filled in
 /// by the Machine layer when the violation surfaces below it (the routers
@@ -95,12 +87,8 @@ class AuditError final : public std::exception {
 
 namespace detail {
 
-inline std::atomic<bool>& flag() {
-  static std::atomic<bool> on{[] {
-    const char* env = std::getenv("PCM_AUDIT");
-    return compiled_in() && env != nullptr && env[0] != '\0' &&
-           !(env[0] == '0' && env[1] == '\0');
-  }()};
+inline sim::EnvSwitch& gate() {
+  static sim::EnvSwitch on("PCM_AUDIT");
   return on;
 }
 
@@ -111,22 +99,12 @@ inline std::atomic<std::uint64_t>& check_counter() {
 
 }  // namespace detail
 
-/// Is auditing active right now? Constant-false when compiled out.
-inline bool enabled() {
-  if constexpr (!compiled_in()) {
-    return false;
-  } else {
-    return detail::flag().load(std::memory_order_relaxed);
-  }
-}
+/// Is auditing active right now?
+inline bool enabled() { return detail::gate().on(); }
 
-/// Toggle auditing. Returns false (and stays off) when the auditor was
-/// compiled out; callers that *require* auditing should treat that as fatal.
-inline bool set_enabled(bool on) {
-  if (!compiled_in() && on) return false;
-  detail::flag().store(on && compiled_in(), std::memory_order_relaxed);
-  return true;
-}
+/// Toggle auditing. Always returns true (kept so existing callers can
+/// check it).
+inline bool set_enabled(bool on) { detail::gate().set_on(on); return true; }
 
 /// Number of individual invariant checks that have passed so far (across
 /// all threads). Tests use this to prove the instrumentation actually ran.

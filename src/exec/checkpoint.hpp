@@ -54,7 +54,7 @@ struct JournalEntry {
   int attempts = 0;     ///< Attempts consumed (>= 1).
   std::string kind;     ///< Failure classification when !ok.
   std::string message;  ///< One-line failure message when !ok.
-  std::string obs;      ///< Opaque encoded metrics snapshot (ok records
+  std::string obs{};    ///< Opaque encoded metrics snapshot (ok records
                         ///< only; empty when observability was off).
 };
 

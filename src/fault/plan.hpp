@@ -27,9 +27,9 @@
 // bit-identical at any --jobs value — the same promise the fault-free
 // engine makes.
 //
-// Unlike pcm::audit / pcm::race there is no compile-time gate: a fault plan
-// is an *input* (like a machine spec), not an instrument, and the disabled
-// cost is one null-pointer test per hook. The plan is process-global
+// Unlike pcm::audit / pcm::race there is no on/off switch: a fault plan is
+// an *input* (like a machine spec), not an instrument, and the disabled cost
+// is one null-pointer test per hook. The plan is process-global
 // (selected via --fault=<spec> on every bench and pcmtool) and is read once
 // per Machine construction.
 

@@ -1,7 +1,6 @@
 #pragma once
 
-#include <atomic>
-#include <cstdlib>
+#include "sim/env_switch.hpp"
 
 // pcm::obs — the superstep-resolved observability plane.
 //
@@ -27,52 +26,27 @@
 //     cell's metrics and merges them in cell order into a SweepMetrics
 //     summary that is bit-identical for every --jobs value.
 //
-// Compile-time gate: the PCM_OBS CMake option defines PCM_OBS_ENABLED,
-// mirroring pcm::audit / pcm::race. With it OFF every hook collapses to
-// `if (false)`. With it ON (the default) the hooks cost one predictable
-// branch while disabled at runtime; `--metrics` / `--trace-out=<file>` on
-// the bench harness and pcmtool (or PCM_OBS=1 in the environment, or
-// obs::set_enabled) turn collection on.
-
-#ifndef PCM_OBS_ENABLED
-#define PCM_OBS_ENABLED 1
-#endif
+// Run-time gate (sim/env_switch.hpp), like pcm::audit / pcm::race: the
+// hooks cost one predictable branch while collection is off;
+// `--metrics` / `--trace-out=<file>` on the bench harness and pcmtool (or
+// PCM_OBS=1 in the environment, or obs::set_enabled) turn it on.
 
 namespace pcm::obs {
 
-/// True when the observability plane was compiled in (-DPCM_OBS=ON).
-constexpr bool compiled_in() { return PCM_OBS_ENABLED != 0; }
-
 namespace detail {
 
-inline std::atomic<bool>& flag() {
-  static std::atomic<bool> on{[] {
-    const char* env = std::getenv("PCM_OBS");
-    return compiled_in() && env != nullptr && env[0] != '\0' &&
-           !(env[0] == '0' && env[1] == '\0');
-  }()};
+inline sim::EnvSwitch& gate() {
+  static sim::EnvSwitch on("PCM_OBS");
   return on;
 }
 
 }  // namespace detail
 
 /// Should newly constructed machines collect metrics and spans?
-/// Constant-false when compiled out.
-inline bool enabled() {
-  if constexpr (!compiled_in()) {
-    return false;
-  } else {
-    return detail::flag().load(std::memory_order_relaxed);
-  }
-}
+inline bool enabled() { return detail::gate().on(); }
 
-/// Toggle collection for machines constructed afterwards. Returns false
-/// (and stays off) when the plane was compiled out; callers that *require*
-/// observability should treat that as fatal.
-inline bool set_enabled(bool on) {
-  if (!compiled_in() && on) return false;
-  detail::flag().store(on && compiled_in(), std::memory_order_relaxed);
-  return true;
-}
+/// Toggle collection for machines constructed afterwards. Always returns
+/// true (kept so existing callers can check it).
+inline bool set_enabled(bool on) { detail::gate().set_on(on); return true; }
 
 }  // namespace pcm::obs

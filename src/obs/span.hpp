@@ -7,16 +7,14 @@
 #include "sim/time.hpp"
 
 // The span-based trace recorder of the observability plane (see
-// obs/obs.hpp). Where sim::Trace keeps *attribution* records — one per
-// charge() call, summing per-processor work — the SpanRecorder keeps a
-// *timeline*: wall-of-simulated-time spans that tile [0, makespan] with no
-// gaps and no overlaps. The machine reports each communication step and
-// barrier as a [before, after) interval; the recorder fills the stretch
-// since the previous interval with a Compute span before appending it. A
-// trailing Compute span up to the caller's `now` (tiled()) completes the
-// tiling, so per-phase span durations sum to the total simulated time *by
-// construction* — the property the golden-trace tests and the Chrome trace
-// export both lean on.
+// obs/obs.hpp) and the machine's one timeline: wall-of-simulated-time spans
+// that tile [0, makespan] with no gaps and no overlaps. The machine reports
+// each communication step and barrier as a [before, after) interval; the
+// recorder fills the stretch since the previous interval with a Compute span
+// before appending it. A trailing Compute span up to the caller's `now`
+// (tiled()) completes the tiling, so per-phase span durations sum to the
+// total simulated time *by construction* — the property the golden-trace
+// tests, the Chrome trace export and pcmtool --breakdown all lean on.
 
 namespace pcm::obs {
 
@@ -54,7 +52,6 @@ class SpanRecorder {
     spans_.clear();
     cursor_ = 0.0;
     trial_ = trial;
-    last_superstep_ = 0;
   }
 
   /// A communication step occupied [before, after) at `superstep`.
@@ -65,7 +62,6 @@ class SpanRecorder {
     spans_.push_back(Span{SpanKind::Communicate, before, after - before,
                           trial_, superstep, messages, bytes});
     cursor_ = after;
-    last_superstep_ = superstep;
   }
 
   /// A barrier occupied [before, after), closing `superstep`.
@@ -75,7 +71,6 @@ class SpanRecorder {
     spans_.push_back(
         Span{SpanKind::Barrier, before, after - before, trial_, superstep, 0, 0});
     cursor_ = after;
-    last_superstep_ = superstep;
   }
 
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
@@ -97,7 +92,6 @@ class SpanRecorder {
   void clear() {
     spans_.clear();
     cursor_ = 0.0;
-    last_superstep_ = 0;
   }
 
  private:
@@ -114,7 +108,6 @@ class SpanRecorder {
   bool on_ = false;
   sim::Micros cursor_ = 0.0;
   long trial_ = 0;
-  long last_superstep_ = 0;
   std::vector<Span> spans_;
 };
 

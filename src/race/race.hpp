@@ -2,10 +2,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <utility>
+
+#include "sim/env_switch.hpp"
 
 // pcm::race — superstep happens-before race detector for simulated BSP
 // programs.
@@ -46,20 +47,12 @@
 // Violations raise RaceError annotated with machine, superstep, the PEs
 // involved and the global index, mirroring audit::AuditError.
 //
-// Compile-time gate: the PCM_RACE CMake option defines PCM_RACE_ENABLED.
-// With it OFF every hook collapses to `if (false)`. With it ON (the
-// default) the hooks cost one predictable branch while disabled at runtime;
-// the `--race` flag of the bench harness and pcmtool (or PCM_RACE=1 in the
-// environment, or race::set_enabled) turns the checks on.
-
-#ifndef PCM_RACE_ENABLED
-#define PCM_RACE_ENABLED 1
-#endif
+// Run-time gate (sim/env_switch.hpp): the hooks cost one predictable branch
+// while detection is off; the `--race` flag of the bench harness and pcmtool
+// (or PCM_RACE=1 in the environment, or race::set_enabled) turns the checks
+// on.
 
 namespace pcm::race {
-
-/// True when the detector was compiled in (-DPCM_RACE=ON).
-constexpr bool compiled_in() { return PCM_RACE_ENABLED != 0; }
 
 /// A violated BSP ordering rule. `machine` and `superstep` locate the
 /// violation on the simulated timeline; `pe`/`other_pe` name the processors
@@ -120,12 +113,8 @@ class RaceError final : public std::exception {
 
 namespace detail {
 
-inline std::atomic<bool>& flag() {
-  static std::atomic<bool> on{[] {
-    const char* env = std::getenv("PCM_RACE");
-    return compiled_in() && env != nullptr && env[0] != '\0' &&
-           !(env[0] == '0' && env[1] == '\0');
-  }()};
+inline sim::EnvSwitch& gate() {
+  static sim::EnvSwitch on("PCM_RACE");
   return on;
 }
 
@@ -144,22 +133,12 @@ inline int& current_pe_ref() {
 
 }  // namespace detail
 
-/// Is race detection active right now? Constant-false when compiled out.
-inline bool enabled() {
-  if constexpr (!compiled_in()) {
-    return false;
-  } else {
-    return detail::flag().load(std::memory_order_relaxed);
-  }
-}
+/// Is race detection active right now?
+inline bool enabled() { return detail::gate().on(); }
 
-/// Toggle detection. Returns false (and stays off) when the detector was
-/// compiled out; callers that *require* it should treat that as fatal.
-inline bool set_enabled(bool on) {
-  if (!compiled_in() && on) return false;
-  detail::flag().store(on && compiled_in(), std::memory_order_relaxed);
-  return true;
-}
+/// Toggle detection. Always returns true (kept so existing callers can
+/// check it).
+inline bool set_enabled(bool on) { detail::gate().set_on(on); return true; }
 
 /// Number of individual ordering checks that have passed so far (across all
 /// threads). Tests use this to prove the instrumentation actually ran.

@@ -222,7 +222,7 @@ TEST(FaultInjection, SuperstepWindowGatesInjection) {
 }
 
 TEST(FaultInjection, ComposesWithAuditConservation) {
-  if (!audit::set_enabled(true)) GTEST_SKIP() << "auditor compiled out";
+  audit::set_enabled(true);
   {
     const ScopedPlan plan("drop:rate=0.5:seed=9");
     auto m = small_machine(machines::Platform::CM5);

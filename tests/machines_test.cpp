@@ -108,17 +108,22 @@ TEST(Machines, ReseedReproducesRuns) {
 
 TEST(Machines, TraceRecordsPhases) {
   auto m = test::small_cm5();
-  m->trace().set_enabled(true);
+  m->set_observing(true);
   m->charge(0, 3.0);
   net::CommPattern pat(m->procs());
   pat.add(0, 1, 8);
   pat.add(0, 2, 8);
   m->exchange(pat);
   m->barrier();
-  EXPECT_DOUBLE_EQ(m->trace().total(sim::PhaseKind::Compute), 3.0);
-  EXPECT_EQ(m->trace().total_messages(), 2);
-  EXPECT_EQ(m->trace().total_bytes(), 16);
-  EXPECT_GT(m->trace().total(sim::PhaseKind::Communicate), 0.0);
+  const auto spans = m->spans().tiled(m->now(), m->superstep());
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].kind, obs::SpanKind::Compute);
+  EXPECT_DOUBLE_EQ(spans[0].duration, 3.0);
+  EXPECT_EQ(spans[1].kind, obs::SpanKind::Communicate);
+  EXPECT_EQ(spans[1].messages, 2u);
+  EXPECT_EQ(spans[1].bytes, 16u);
+  EXPECT_GT(spans[1].duration, 0.0);
+  EXPECT_EQ(spans[2].kind, obs::SpanKind::Barrier);
 }
 
 TEST(Machines, EmptyExchangeIsFree) {

@@ -11,16 +11,19 @@ namespace {
 
 // ---- BlockDist property sweep ----------------------------------------------
 
+// Both fields are 8 bytes so the struct has no padding: gtest names each case
+// by printing the parameter's raw bytes, and padding bytes are indeterminate,
+// which would give the same case a different name on every build.
 struct DistCase {
   long n;
-  int parts;
+  long parts;
 };
 
 class BlockDistP : public ::testing::TestWithParam<DistCase> {};
 
 TEST_P(BlockDistP, PartitionIsExactAndOrdered) {
   const auto [n, parts] = GetParam();
-  BlockDist d{n, parts};
+  BlockDist d{n, static_cast<int>(parts)};
   long total = 0;
   long prev_hi = 0;
   for (int i = 0; i < parts; ++i) {
@@ -36,7 +39,7 @@ TEST_P(BlockDistP, PartitionIsExactAndOrdered) {
 
 TEST_P(BlockDistP, OwnerAndLocalAreConsistent) {
   const auto [n, parts] = GetParam();
-  BlockDist d{n, parts};
+  BlockDist d{n, static_cast<int>(parts)};
   for (long g = 0; g < n; ++g) {
     const int o = d.owner_of(g);
     const auto [lo, hi] = d.range_of(o);

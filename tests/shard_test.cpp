@@ -204,7 +204,6 @@ TEST(ShardedSweep, MergedJournalIsResumableByBothEngines) {
 }
 
 TEST(ShardedSweep, MetricsSurviveTheProcessBoundary) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "observability compiled out";
   ChaosGuard off;
   fault::set_process_chaos(std::nullopt);
   obs::set_enabled(true);

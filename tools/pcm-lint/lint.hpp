@@ -83,9 +83,11 @@ struct Diagnostic {
   /// Content-addressed identity: FNV-1a over (file, rule, the stripped
   /// source line with whitespace collapsed, occurrence index). Stable across
   /// unrelated code motion, so baselines don't churn on line-number shifts.
-  std::string fingerprint;
+  std::string fingerprint{};
   /// Machine-applicable rewrites (flow rules only); empty for most rules.
-  std::vector<FixHint> fixes;
+  /// (The `{}` initialisers let rules brace-initialise just the first four
+  /// fields without -Wmissing-field-initializers.)
+  std::vector<FixHint> fixes{};
 };
 
 /// One file handed to the linter: repo-relative forward-slash path + bytes.
