@@ -12,8 +12,7 @@
 
 #include "algos/bitonic.hpp"
 #include "bench_common.hpp"
-#include "calibrate/h_relation.hpp"
-#include "calibrate/mscat.hpp"
+#include "calibrate/microbench.hpp"
 #include "machines/custom.hpp"
 #include "matmul_bench.hpp"
 #include "report/table.hpp"
@@ -121,10 +120,14 @@ void ablate_recv_dominance() {
     }
     auto m = machines::make_gcel_custom(p, 79);
     std::vector<int> hs{32, 128, 512};
-    const auto full = calibrate::run_full_h_relations(*m, hs, 4, 4);
-    const auto sc = calibrate::run_multinode_scatter(*m, hs, 4, 4);
-    const double g = calibrate::fit_g_and_l(full).slope;
-    const double gm = calibrate::fit_g_mscat(sc).slope;
+    const auto full = calibrate::measure(*m, hs, 4, [&](int h) {
+      return calibrate::full_h_relation(m->rng(), m->procs(), h, 4);
+    });
+    const auto sc = calibrate::measure(*m, hs, 4, [&](int h) {
+      return calibrate::multinode_scatter(m->procs(), h, 4);
+    });
+    const double g = calibrate::fit_line(full).slope;
+    const double gm = calibrate::fit_line(sc).slope;
     t.add_row({ablated ? "symmetric overheads (ablated)" : "recv-dominated",
                report::Table::num(g, 0), report::Table::num(gm, 0),
                report::Table::num(g / gm, 1)});

@@ -4,7 +4,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "calibrate/one_h_relation.hpp"
+#include "calibrate/microbench.hpp"
 #include "machines/machine.hpp"
 
 int main(int argc, char** argv) {
@@ -16,16 +16,16 @@ int main(int argc, char** argv) {
   const int trials = env.trials > 0 ? env.trials : (env.quick ? 20 : 100);
 
   std::vector<int> hs{1, 2, 4, 8, 12, 16, 24, 32, 48, 64};
-  const auto sweep = calibrate::run_one_h_relations(*m, hs, trials);
-  const auto fit = calibrate::fit_g_and_l(sweep);
+  auto s = calibrate::measure(*m, hs, trials, [&](int h) {
+    return calibrate::one_h_relation(m->rng(), m->procs(), h, 4);
+  });
+  const auto fit = calibrate::fit_line(s);
 
-  core::ValidationSeries s;
   s.experiment = "fig01";
   s.x_label = "h";
   s.y_label = "time (µs)";
-  for (const auto& p : sweep.points) s.points.push_back({p.x, p.stats});
   core::PredictedSeries line{"g*h+L fit", {}};
-  for (const auto& p : sweep.points) line.ys.push_back(fit(p.x));
+  for (const auto& p : s.points) line.ys.push_back(fit(p.x));
   s.predictions.push_back(std::move(line));
 
   bench::report(s, 1.0, false, false, 0);

@@ -4,7 +4,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "calibrate/partial_perm.hpp"
+#include "calibrate/microbench.hpp"
 #include "machines/machine.hpp"
 
 int main(int argc, char** argv) {
@@ -16,18 +16,18 @@ int main(int argc, char** argv) {
   const int trials = env.trials > 0 ? env.trials : (env.quick ? 10 : 50);
 
   std::vector<int> actives{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 768, 1024};
-  const auto sweep = calibrate::run_partial_permutations(*m, actives, trials);
-  const auto t_unb = calibrate::fit_t_unb(sweep);
+  auto s = calibrate::measure(*m, actives, trials, [&](int a) {
+    return calibrate::partial_permutation(m->rng(), m->procs(), a, 4);
+  });
+  const auto t_unb = calibrate::fit_t_unb(s);
   const auto paper = models::table1::maspar().ebsp.t_unb;
 
-  core::ValidationSeries s;
   s.experiment = "fig02";
   s.x_label = "active PEs";
   s.y_label = "time (µs)";
-  for (const auto& p : sweep.points) s.points.push_back({p.x, p.stats});
   core::PredictedSeries fitline{"T_unb fit", {}};
   core::PredictedSeries paperline{"paper T_unb", {}};
-  for (const auto& p : sweep.points) {
+  for (const auto& p : s.points) {
     fitline.ys.push_back(t_unb(p.x));
     paperline.ys.push_back(paper(p.x));
   }

@@ -7,8 +7,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "calibrate/h_relation.hpp"
-#include "calibrate/hh_perm.hpp"
+#include "calibrate/microbench.hpp"
 #include "machines/machine.hpp"
 #include "report/ascii_plot.hpp"
 
@@ -30,7 +29,9 @@ int main(int argc, char** argv) {
   std::cerr << "synchronized (barrier every 256)...\n";
   const auto sync = calibrate::run_hh_permutations(*m, hs, trials, 256);
   std::cerr << "random h-relations...\n";
-  const auto rnd = calibrate::run_random_relations(*m, hs, std::max(2, trials / 2), 4);
+  const auto rnd = calibrate::measure(*m, hs, std::max(2, trials / 2), [&](int h) {
+    return calibrate::random_destination_relation(m->rng(), m->procs(), h, 4);
+  });
 
   report::banner(std::cout,
                  "fig07: h-h permutations vs random h-relations [gcel]",
@@ -41,20 +42,20 @@ int main(int argc, char** argv) {
                        "random h-rel (µs)", "unsync per step", "sync per step"});
   for (std::size_t i = 0; i < hs.size(); ++i) {
     table.add_row({report::Table::num(hs[i], 0),
-                   report::Table::num(unsync.points[i].stats.mean, 0),
-                   report::Table::num(unsync.points[i].stats.min, 0),
-                   report::Table::num(unsync.points[i].stats.max, 0),
-                   report::Table::num(sync.points[i].stats.mean, 0),
-                   report::Table::num(rnd.points[i].stats.mean, 0),
-                   report::Table::num(unsync.points[i].stats.mean / hs[i], 0),
-                   report::Table::num(sync.points[i].stats.mean / hs[i], 0)});
+                   report::Table::num(unsync.points[i].measured.mean, 0),
+                   report::Table::num(unsync.points[i].measured.min, 0),
+                   report::Table::num(unsync.points[i].measured.max, 0),
+                   report::Table::num(sync.points[i].measured.mean, 0),
+                   report::Table::num(rnd.points[i].measured.mean, 0),
+                   report::Table::num(unsync.points[i].measured.mean / hs[i], 0),
+                   report::Table::num(sync.points[i].measured.mean / hs[i], 0)});
   }
   table.print(std::cout);
 
   std::vector<report::PlotSeries> ps(3);
-  ps[0] = {"h-h unsynchronized", '*', unsync.xs(), unsync.means()};
-  ps[1] = {"h-h synchronized (256)", 'o', sync.xs(), sync.means()};
-  ps[2] = {"random h-relations", '+', rnd.xs(), rnd.means()};
+  ps[0] = {"h-h unsynchronized", '*', unsync.xs(), unsync.measured_means()};
+  ps[1] = {"h-h synchronized (256)", 'o', sync.xs(), sync.measured_means()};
+  ps[2] = {"random h-relations", '+', rnd.xs(), rnd.measured_means()};
   report::PlotOptions opts;
   opts.x_label = "h";
   opts.y_label = "total time (µs)";

@@ -5,8 +5,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "calibrate/h_relation.hpp"
-#include "calibrate/mscat.hpp"
+#include "calibrate/microbench.hpp"
 #include "machines/machine.hpp"
 #include "report/ascii_plot.hpp"
 
@@ -16,6 +15,9 @@ int main(int argc, char** argv) {
   auto m = machines::make_machine({.platform = machines::Platform::GCel,
                                    .procs = env.procs,
                                    .seed = env.seed != 0 ? env.seed : 1114});
+  if (m->procs() < 2) {
+    bench::usage(argv[0], "--procs: a multinode scatter needs at least 2 PEs");
+  }
   const int trials = env.trials > 0 ? env.trials : (env.quick ? 3 : 10);
 
   const std::vector<int> hs = env.quick
@@ -23,12 +25,16 @@ int main(int argc, char** argv) {
                                   : std::vector<int>{16, 32, 64, 128, 256, 512, 1024};
 
   std::cerr << "full h-relations...\n";
-  const auto full = calibrate::run_full_h_relations(*m, hs, trials, 4);
+  const auto full = calibrate::measure(*m, hs, trials, [&](int h) {
+    return calibrate::full_h_relation(m->rng(), m->procs(), h, 4);
+  });
   std::cerr << "multinode scatter...\n";
-  const auto sc = calibrate::run_multinode_scatter(*m, hs, trials, 4);
+  const auto sc = calibrate::measure(*m, hs, trials, [&](int h) {
+    return calibrate::multinode_scatter(m->procs(), h, 4);
+  });
 
-  const auto g_fit = calibrate::fit_g_and_l(full);
-  const auto mscat_fit = calibrate::fit_g_mscat(sc);
+  const auto g_fit = calibrate::fit_line(full);
+  const auto mscat_fit = calibrate::fit_line(sc);
 
   report::banner(std::cout, "fig14: full h-relations vs multinode scatter [gcel]",
                  "paper: g ~ 4480 µs, g_mscat ~ 492 µs (factor up to 9.1)");
@@ -36,10 +42,10 @@ int main(int argc, char** argv) {
                        "ratio"});
   for (std::size_t i = 0; i < hs.size(); ++i) {
     table.add_row({report::Table::num(hs[i], 0),
-                   report::Table::num(full.points[i].stats.mean, 0),
-                   report::Table::num(sc.points[i].stats.mean, 0),
-                   report::Table::num(full.points[i].stats.mean /
-                                          sc.points[i].stats.mean,
+                   report::Table::num(full.points[i].measured.mean, 0),
+                   report::Table::num(sc.points[i].measured.mean, 0),
+                   report::Table::num(full.points[i].measured.mean /
+                                          sc.points[i].measured.mean,
                                       2)});
   }
   table.print(std::cout);
@@ -51,8 +57,8 @@ int main(int argc, char** argv) {
             << " (paper up to 9.1)\n";
 
   std::vector<report::PlotSeries> ps(2);
-  ps[0] = {"full h-relations", '*', full.xs(), full.means()};
-  ps[1] = {"multinode scatter", 'o', sc.xs(), sc.means()};
+  ps[0] = {"full h-relations", '*', full.xs(), full.measured_means()};
+  ps[1] = {"multinode scatter", 'o', sc.xs(), sc.measured_means()};
   report::PlotOptions opts;
   opts.x_label = "h";
   opts.y_label = "total time (µs)";

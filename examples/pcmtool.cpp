@@ -89,7 +89,8 @@ std::unique_ptr<machines::Machine> make_machine_named(const std::string& name,
     auto spec = machines::parse_machine_spec(name);
     if (name.find("seed=") == std::string::npos) spec.seed = seed;
     return machines::make_machine(spec);
-  } catch (const std::invalid_argument&) {
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "pcmtool: " << e.what() << "\n";
     return nullptr;
   }
 }

@@ -1,22 +1,11 @@
 #include "calibrate/microbench.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace pcm::calibrate {
-
-std::vector<double> Sweep::xs() const {
-  std::vector<double> out;
-  out.reserve(points.size());
-  for (const auto& p : points) out.push_back(p.x);
-  return out;
-}
-
-std::vector<double> Sweep::means() const {
-  std::vector<double> out;
-  out.reserve(points.size());
-  for (const auto& p : points) out.push_back(p.stats.mean);
-  return out;
-}
 
 sim::Micros time_pattern(machines::Machine& m, const net::CommPattern& pat,
                          bool with_barrier) {
@@ -24,6 +13,42 @@ sim::Micros time_pattern(machines::Machine& m, const net::CommPattern& pat,
   m.exchange(pat);
   if (with_barrier) m.barrier();
   return m.now();
+}
+
+core::ValidationSeries measure(std::span<const int> xs, int trials,
+                               const std::function<sim::Micros(int)>& trial) {
+  core::ValidationSeries sweep;
+  for (const int x : xs) {
+    sim::Accumulator acc;
+    for (int t = 0; t < trials; ++t) acc.add(trial(x));
+    sweep.points.push_back({static_cast<double>(x), acc.summary()});
+  }
+  return sweep;
+}
+
+core::ValidationSeries run_hh_permutations(machines::Machine& m,
+                                           std::span<const int> hs, int trials,
+                                           int barrier_every, int bytes) {
+  return measure(hs, trials, [&](int h) {
+    m.reset();
+    const auto perm = m.rng().permutation(m.procs());
+    const auto pat = net::patterns::from_permutation(perm, bytes);
+    for (int i = 0; i < h; ++i) {
+      m.exchange(pat);
+      if (barrier_every > 0 && (i + 1) % barrier_every == 0) m.barrier();
+    }
+    m.barrier();
+    return m.now();
+  });
+}
+
+sim::LineFit fit_line(const core::ValidationSeries& sweep) {
+  return sim::fit_line(sweep.xs(), sweep.measured_means());
+}
+
+models::UnbalancedCost fit_t_unb(const core::ValidationSeries& sweep) {
+  const auto fit = sim::fit_sqrt_poly(sweep.xs(), sweep.measured_means());
+  return models::UnbalancedCost{fit.a, fit.b, fit.c};
 }
 
 net::CommPattern full_h_relation(sim::Rng& rng, int procs, int h, int bytes) {
@@ -78,12 +103,41 @@ net::CommPattern partial_permutation(sim::Rng& rng, int procs, int active,
   return pat;
 }
 
+net::CommPattern local_permutation(sim::Rng& rng, int procs, int active,
+                                   int locality, int bytes) {
+  assert(locality > 0 && procs % locality == 0);
+  assert(active <= procs);
+  net::CommPattern pat(procs);
+  // Spread the active processors evenly over the blocks, then permute
+  // within each block.
+  const int blocks = procs / locality;
+  const int per_block = (active + blocks - 1) / blocks;
+  int remaining = active;
+  for (int b = 0; b < blocks && remaining > 0; ++b) {
+    const int k = std::min(per_block, remaining);
+    remaining -= k;
+    const auto members = rng.sample_without_replacement(locality, k);
+    auto targets = members;
+    rng.shuffle(std::span<int>(targets));
+    for (int i = 0; i < k; ++i) {
+      pat.add(b * locality + members[static_cast<std::size_t>(i)],
+              b * locality + targets[static_cast<std::size_t>(i)], bytes);
+    }
+  }
+  return pat;
+}
+
 net::CommPattern block_permutation(sim::Rng& rng, int procs, int m_bytes) {
   const auto perm = rng.permutation(procs);
   return net::patterns::from_permutation(perm, m_bytes);
 }
 
 net::CommPattern multinode_scatter(int procs, int h, int bytes) {
+  if (procs < 2) {
+    throw std::invalid_argument(
+        "multinode_scatter: needs at least 2 processors, got " +
+        std::to_string(procs));
+  }
   int s = 1;
   while ((s + 1) * (s + 1) <= procs) ++s;
   net::CommPattern pat(procs);

@@ -28,9 +28,26 @@ struct ValidationSeries {
   std::vector<MeasuredPoint> points;
   std::vector<PredictedSeries> predictions;
 
-  [[nodiscard]] std::vector<double> xs() const;
-  [[nodiscard]] std::vector<double> measured_means() const;
-  [[nodiscard]] const PredictedSeries* prediction(const std::string& model) const;
+  [[nodiscard]] std::vector<double> xs() const {
+    std::vector<double> out;
+    out.reserve(points.size());
+    for (const auto& p : points) out.push_back(p.x);
+    return out;
+  }
+
+  [[nodiscard]] std::vector<double> measured_means() const {
+    std::vector<double> out;
+    out.reserve(points.size());
+    for (const auto& p : points) out.push_back(p.measured.mean);
+    return out;
+  }
+
+  [[nodiscard]] const PredictedSeries* prediction(const std::string& model) const {
+    for (const auto& s : predictions) {
+      if (s.model == model) return &s;
+    }
+    return nullptr;
+  }
 };
 
 }  // namespace pcm::core

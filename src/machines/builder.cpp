@@ -5,19 +5,6 @@
 
 namespace pcm::machines {
 
-namespace {
-
-class BuiltMachine final : public Machine {
- public:
-  BuiltMachine(std::string name, int procs, LocalCompute lc,
-               std::unique_ptr<net::Router> router, sim::Micros barrier_cost,
-               std::uint64_t seed)
-      : Machine(std::move(name), procs, lc, std::move(router), barrier_cost,
-                seed) {}
-};
-
-}  // namespace
-
 MachineBuilder::MachineBuilder(std::string name) : name_(std::move(name)) {}
 
 MachineBuilder& MachineBuilder::mesh(int width, int height) {
@@ -48,14 +35,9 @@ MachineBuilder& MachineBuilder::procs(int n) {
   procs_ = n;
   have_procs_ = true;
   if (net_ == Net::Mesh) {
-    // Squarest factorisation, widest dimension first (same policy as the
-    // GCel platform builder).
-    int h = 1;
-    for (int d = 1; d * d <= n; ++d) {
-      if (n % d == 0) h = d;
-    }
-    width_ = n / h;
-    height_ = h;
+    const auto sq = net::squarest_mesh(n);
+    width_ = sq.width;
+    height_ = sq.height;
   }
   return *this;
 }
@@ -129,8 +111,8 @@ std::unique_ptr<Machine> MachineBuilder::build(std::uint64_t seed) const {
     case Net::None:
       throw std::logic_error("MachineBuilder: no network selected");
   }
-  return std::make_unique<BuiltMachine>(name_, procs_, compute_,
-                                        std::move(router), barrier_, seed);
+  return std::make_unique<Machine>(name_, procs_, compute_, std::move(router),
+                                   barrier_, seed);
 }
 
 }  // namespace pcm::machines

@@ -49,7 +49,8 @@ class MachineBuilder {
   /// Local-compute coefficient set (defaults to the CM-5's).
   MachineBuilder& compute(const LocalCompute& lc);
 
-  /// Build the machine. Throws std::logic_error if no network was chosen.
+  /// Build the machine. Throws std::logic_error if no network was chosen,
+  /// std::invalid_argument if the delta network cannot wire procs PEs.
   [[nodiscard]] std::unique_ptr<Machine> build(std::uint64_t seed = 42) const;
 
  private:

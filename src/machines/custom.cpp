@@ -2,22 +2,9 @@
 
 namespace pcm::machines {
 
-namespace {
-
-class CustomMachine final : public Machine {
- public:
-  CustomMachine(std::string name, int procs, LocalCompute lc,
-                std::unique_ptr<net::Router> router, sim::Micros barrier_cost,
-                std::uint64_t seed)
-      : Machine(std::move(name), procs, lc, std::move(router), barrier_cost,
-                seed) {}
-};
-
-}  // namespace
-
 std::unique_ptr<Machine> make_maspar_custom(const net::DeltaRouterParams& params,
                                             std::uint64_t seed, int procs) {
-  return std::make_unique<CustomMachine>(
+  return std::make_unique<Machine>(
       "MasPar MP-1 (custom)", procs, maspar_compute(),
       std::make_unique<net::DeltaRouter>(procs, params), 0.0, seed);
 }
@@ -25,7 +12,7 @@ std::unique_ptr<Machine> make_maspar_custom(const net::DeltaRouterParams& params
 std::unique_ptr<Machine> make_gcel_custom(const net::MeshRouterParams& params,
                                           std::uint64_t seed) {
   const int procs = params.width * params.height;
-  return std::make_unique<CustomMachine>(
+  return std::make_unique<Machine>(
       "Parsytec GCel (custom)", procs, gcel_compute(),
       std::make_unique<net::MeshRouter>(procs, params, seed ^ 0x5bd1e995u),
       3800.0, seed);
@@ -33,7 +20,7 @@ std::unique_ptr<Machine> make_gcel_custom(const net::MeshRouterParams& params,
 
 std::unique_ptr<Machine> make_cm5_custom(const net::FatTreeParams& params,
                                          std::uint64_t seed, int procs) {
-  return std::make_unique<CustomMachine>(
+  return std::make_unique<Machine>(
       "TMC CM-5 (custom)", procs, cm5_compute(),
       std::make_unique<net::FatTree>(procs, params), 40.0, seed);
 }

@@ -34,6 +34,10 @@ namespace pcm::machines {
 
 class Machine {
  public:
+  Machine(std::string name, int procs, LocalCompute compute,
+          std::unique_ptr<net::Router> router, sim::Micros barrier_cost,
+          std::uint64_t seed);
+  /// Virtual so instrumented wrappers (e.g. a tracing machine) may derive.
   virtual ~Machine() = default;
 
   Machine(const Machine&) = delete;
@@ -117,11 +121,6 @@ class Machine {
   /// nullptr to detach). When set, the next exchange() or barrier() throws
   /// fault::CancelledError — how the exec watchdog reclaims a hung cell.
   void set_cancel(const std::atomic<bool>* flag) { cancel_ = flag; }
-
- protected:
-  Machine(std::string name, int procs, LocalCompute compute,
-          std::unique_ptr<net::Router> router, sim::Micros barrier_cost,
-          std::uint64_t seed);
 
  private:
   std::string name_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <string>
 
 #include "audit/audit.hpp"
@@ -10,24 +11,33 @@ namespace pcm::net {
 
 namespace {
 
-int int_log(int value, int base) {
+/// log_base(value) when value is an exact power of base, otherwise -1.
+int exact_log(int value, int base) {
   int s = 0;
   int v = 1;
   while (v < value) {
     v *= base;
     ++s;
   }
-  assert(v == value && "cluster count must be a power of the radix");
-  return s;
+  return v == value ? s : -1;
 }
 
 }  // namespace
 
 DeltaRouter::DeltaRouter(int procs, DeltaRouterParams params)
     : Router(procs), params_(params) {
-  assert(procs % params_.cluster_size == 0);
-  clusters_ = procs / params_.cluster_size;
-  stages_ = int_log(clusters_, params_.radix);
+  const int cs = params_.cluster_size;
+  const int r = params_.radix;
+  stages_ = (cs > 0 && r > 1 && procs > 0 && procs % cs == 0)
+                ? exact_log(procs / cs, r)
+                : -1;
+  if (stages_ < 0) {
+    throw std::invalid_argument(
+        "delta router: " + std::to_string(procs) + " PEs is not " +
+        std::to_string(cs) + " * " + std::to_string(r) +
+        "^k (the cluster size times a power of the radix)");
+  }
+  clusters_ = procs / cs;
 }
 
 int DeltaRouter::link_at(int a, int b, int stage) const {

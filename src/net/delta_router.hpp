@@ -54,6 +54,7 @@ struct DeltaRouterParams {
 
 class DeltaRouter final : public Router {
  public:
+  /// Throws std::invalid_argument unless procs = cluster_size * radix^k.
   DeltaRouter(int procs, DeltaRouterParams params = {});
 
   void route(const CommPattern& pattern, sim::ClockSet& clocks,

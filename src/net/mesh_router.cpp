@@ -18,6 +18,16 @@ double clipped_jitter(sim::Rng& rng, double sigma) {
 
 }  // namespace
 
+MeshRouterParams squarest_mesh(int procs) {
+  MeshRouterParams p;
+  int w = 1;
+  while (w * w < procs) ++w;
+  while (procs % w != 0) ++w;
+  p.width = w;
+  p.height = procs / w;
+  return p;
+}
+
 MeshRouter::MeshRouter(int procs, MeshRouterParams params, std::uint64_t seed)
     : Router(procs),
       params_(params),

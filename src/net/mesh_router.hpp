@@ -67,6 +67,10 @@ struct MeshRouterParams {
                                       ///< (PVM buffer management churn).
 };
 
+/// Default parameters on the squarest width x height factorisation of
+/// `procs`, the wider dimension first (8x8 for 64, 8x4 for 32).
+[[nodiscard]] MeshRouterParams squarest_mesh(int procs);
+
 class MeshRouter final : public Router {
  public:
   MeshRouter(int procs, MeshRouterParams params = {}, std::uint64_t seed = 1);

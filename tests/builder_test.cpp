@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <tuple>
+
 #include "calibrate/calibrate.hpp"
 #include "net/pattern.hpp"
 
@@ -37,6 +40,21 @@ TEST(MachineBuilder, BuildsADelta) {
   m->exchange(pat);
   const double t = m->now();
   for (int p = 0; p < 256; ++p) EXPECT_DOUBLE_EQ(m->now(p), t);
+}
+
+TEST(MachineBuilder, DeltaRejectsAnUnwirableSize) {
+  EXPECT_THROW((void)MachineBuilder("bad").delta(32).build(), std::invalid_argument);
+}
+
+TEST(MachineBuilder, ProcsReshapesAMeshToTheSquarestFactorisation) {
+  for (const auto& [n, width, height] :
+       {std::tuple{64, 8, 8}, std::tuple{32, 8, 4}, std::tuple{7, 7, 1}}) {
+    auto m = MachineBuilder("reshaped").mesh(2, 2).procs(n).build();
+    const auto& mesh = dynamic_cast<const net::MeshRouter&>(m->router());
+    EXPECT_EQ(m->procs(), n);
+    EXPECT_EQ(mesh.params().width, width) << n;
+    EXPECT_EQ(mesh.params().height, height) << n;
+  }
 }
 
 TEST(MachineBuilder, OverheadsShapeTheCalibration) {

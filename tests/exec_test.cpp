@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "algos/bitonic.hpp"
-#include "calibrate/one_h_relation.hpp"
+#include "calibrate/microbench.hpp"
 #include "exec/parallel_runner.hpp"
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
@@ -187,9 +187,10 @@ exec::SweepSpec maspar_h_relation_spec(int jobs) {
   spec.trials = 3;
   spec.jobs = jobs;
   spec.measure = [](exec::TrialContext& ctx) {
-    const int hs[] = {static_cast<int>(ctx.x)};
-    const auto sweep = calibrate::run_one_h_relations(ctx.machine, hs, 1);
-    return sweep.points.front().stats.mean;
+    auto& m = ctx.machine;
+    return calibrate::time_pattern(
+        m, calibrate::one_h_relation(m.rng(), m.procs(), static_cast<int>(ctx.x), 4),
+        /*with_barrier=*/true);
   };
   return spec;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "exec/sweep.hpp"
 #include "net/pattern.hpp"
 #include "sim/rng.hpp"
@@ -30,6 +32,19 @@ TEST(Machines, MakeMachineByPlatform) {
   EXPECT_EQ(make_machine(Platform::GCel)->name(), "Parsytec GCel");
   EXPECT_EQ(make_machine(Platform::CM5)->name(), "TMC CM-5");
   EXPECT_EQ(to_string(Platform::GCel), "gcel");
+}
+
+TEST(Machines, MasParRejectsSizesTheDeltaNetworkCannotWire) {
+  // 16-PE clusters under a radix-4 delta network: P = 16 * 4^k only.
+  for (const int procs : {8, 32, 48, 2048}) {
+    EXPECT_THROW((void)make_machine({.platform = Platform::MasPar, .procs = procs}),
+                 std::invalid_argument)
+        << procs;
+  }
+  for (const int procs : {16, 64, 1024, 4096}) {
+    EXPECT_EQ(make_machine({.platform = Platform::MasPar, .procs = procs})->procs(),
+              procs);
+  }
 }
 
 TEST(Machines, ChargeAdvancesOneClock) {
