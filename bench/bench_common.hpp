@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -19,6 +20,7 @@
 #include "core/series.hpp"
 #include "core/validation.hpp"
 #include "exec/sweep.hpp"
+#include "machines/machine.hpp"
 #include "report/table.hpp"
 #include "shard/shard.hpp"
 #include "sim/stats.hpp"
@@ -226,6 +228,30 @@ inline Env parse_env(int argc, char** argv) {
     usage(argv[0], "--resume requires --checkpoint=DIR");
   }
   return env;
+}
+
+/// A bench's main-thread machine and the spec it was built from.
+struct BenchMachine {
+  machines::MachineSpec spec;
+  std::unique_ptr<machines::Machine> machine;
+};
+
+/// Build the figure's machine: `platform` at --procs, seeded by --seed or
+/// else the figure's own seed. A size the platform cannot wire (a MasPar
+/// that is not 16 * 4^k PEs) is a usage error, exit 2.
+inline BenchMachine make_machine(const char* argv0, const Env& env,
+                                 machines::Platform platform,
+                                 std::uint64_t figure_seed) {
+  BenchMachine out{.spec = {.platform = platform,
+                            .procs = env.procs,
+                            .seed = env.seed != 0 ? env.seed : figure_seed},
+                   .machine = nullptr};
+  try {
+    out.machine = machines::make_machine(out.spec);
+  } catch (const std::invalid_argument& e) {
+    usage(argv0, std::string("--procs: ") + e.what());
+  }
+  return out;
 }
 
 /// Fill the engine-facing fields of a SweepSpec from the parsed flags: the

@@ -19,10 +19,12 @@
 int main(int argc, char** argv) {
   using namespace pcm;
   const auto env = bench::parse_env(argc, argv);
-  const std::uint64_t seed = env.seed != 0 ? env.seed : 1301;
-  auto mx = machines::make_maspar_xnet(seed);
-  auto mr = machines::make_machine(
-      {.platform = machines::Platform::MasPar, .seed = seed});
+  // Both machines keep the paper's 1024-PE MasPar: --procs is ignored.
+  bench::Env paper_size = env;
+  paper_size.procs = 0;
+  auto [mspec, mr] = bench::make_machine(argv[0], paper_size,
+                                         machines::Platform::MasPar, 1301);
+  auto mx = machines::make_maspar_xnet(mspec.seed);
 
   // Cannon wants N % 32 == 0; the router algorithm wants N % 100 == 0.
   // Use nearby sizes and compare in Mflops.

@@ -14,9 +14,8 @@
 int main(int argc, char** argv) {
   using namespace pcm;
   const auto env = bench::parse_env(argc, argv);
-  auto m = machines::make_machine({.platform = machines::Platform::GCel,
-                                   .procs = env.procs,
-                                   .seed = env.seed != 0 ? env.seed : 1107});
+  auto m = bench::make_machine(argv[0], env, machines::Platform::GCel, 1107)
+               .machine;
   const int trials = env.trials > 0 ? env.trials : (env.quick ? 3 : 8);
 
   const std::vector<int> hs = env.quick

@@ -13,10 +13,8 @@
 int main(int argc, char** argv) {
   using namespace pcm;
   const auto env = bench::parse_env(argc, argv);
-  const machines::MachineSpec mspec{.platform = machines::Platform::CM5,
-                                    .procs = env.procs,
-                                    .seed = env.seed != 0 ? env.seed : 1109};
-  auto m = machines::make_machine(mspec);
+  auto [mspec, m] =
+      bench::make_machine(argv[0], env, machines::Platform::CM5, 1109);
   const int q = algos::matmul_q(*m);
 
   calibrate::CalibrationOptions copts;

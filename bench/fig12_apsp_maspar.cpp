@@ -15,10 +15,8 @@
 int main(int argc, char** argv) {
   using namespace pcm;
   const auto env = bench::parse_env(argc, argv);
-  const machines::MachineSpec mspec{.platform = machines::Platform::MasPar,
-                                    .procs = env.procs,
-                                    .seed = env.seed != 0 ? env.seed : 1112};
-  auto m = machines::make_machine(mspec);
+  auto [mspec, m] =
+      bench::make_machine(argv[0], env, machines::Platform::MasPar, 1112);
 
   calibrate::CalibrationOptions copts;
   copts.trials = env.quick ? 5 : 20;

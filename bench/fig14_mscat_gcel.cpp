@@ -12,9 +12,8 @@
 int main(int argc, char** argv) {
   using namespace pcm;
   const auto env = bench::parse_env(argc, argv);
-  auto m = machines::make_machine({.platform = machines::Platform::GCel,
-                                   .procs = env.procs,
-                                   .seed = env.seed != 0 ? env.seed : 1114});
+  auto m = bench::make_machine(argv[0], env, machines::Platform::GCel, 1114)
+               .machine;
   if (m->procs() < 2) {
     bench::usage(argv[0], "--procs: a multinode scatter needs at least 2 PEs");
   }

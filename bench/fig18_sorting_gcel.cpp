@@ -18,9 +18,8 @@
 int main(int argc, char** argv) {
   using namespace pcm;
   const auto env = bench::parse_env(argc, argv);
-  auto m = machines::make_machine({.platform = machines::Platform::GCel,
-                                   .procs = env.procs,
-                                   .seed = env.seed != 0 ? env.seed : 1118});
+  auto m = bench::make_machine(argv[0], env, machines::Platform::GCel, 1118)
+               .machine;
   const int S = 64;  // oversampling ratio
 
   const std::vector<long> ms = env.quick

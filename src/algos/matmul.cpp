@@ -112,7 +112,7 @@ class MatmulRun {
       // Single-port permutation steps: one block per processor per step.
       for (int d = 1; d < q_; ++d) {  // A to <i,j,(k+d)%q>
         runtime::Exchange<T> ex(m_, mode);
-        for_each_proc([&](int i, int j, int k, Local<T>& loc) {
+        for_each_pe([&](int i, int j, int k, Local<T>& loc) {
           ex.send(rank(i, j, k), rank(i, j, (k + d) % q_), loc.a_piece, k);
         });
         deliver_a(ex);
@@ -120,7 +120,7 @@ class MatmulRun {
       }
       for (int d = 0; d < q_; ++d) {  // B^k_ij to <(k+d)%q, i, j>
         runtime::Exchange<T> ex(m_, mode);
-        for_each_proc([&](int i, int j, int k, Local<T>& loc) {
+        for_each_pe([&](int i, int j, int k, Local<T>& loc) {
           const int dst = rank((k + d) % q_, i, j);
           if (dst == rank(i, j, k)) {
             ensure_b(loc);
@@ -135,7 +135,7 @@ class MatmulRun {
     } else {
       // One pipelined word superstep carrying both replications.
       runtime::Exchange<T> ex(m_, mode);
-      for_each_proc([&](int i, int j, int k, Local<T>& loc) {
+      for_each_pe([&](int i, int j, int k, Local<T>& loc) {
         for (int d = 1; d < q_; ++d) {
           const int kk = stag ? (k + d) % q_ : d - 1 + (d - 1 >= k ? 1 : 0);
           ex.send(rank(i, j, k), rank(i, j, kk), loc.a_piece, k);
@@ -156,7 +156,7 @@ class MatmulRun {
       m_.barrier();
     }
     // Everyone installs its own A piece locally (free).
-    for_each_proc([&](int, int, int k, Local<T>& loc) {
+    for_each_pe([&](int, int, int k, Local<T>& loc) {
       install(loc.a_full, k, loc.a_piece);
     });
   }
@@ -167,7 +167,7 @@ class MatmulRun {
     for (int d = 1; d < q_; ++d) {
       for (long e = 0; e < elems; ++e) {
         runtime::Exchange<T> ex(m_, runtime::TransferMode::Word);
-        for_each_proc([&](int i, int j, int k, Local<T>& loc) {
+        for_each_pe([&](int i, int j, int k, Local<T>& loc) {
           ex.send_value(rank(i, j, k), rank(i, j, (k + d) % q_),
                         loc.a_piece[static_cast<std::size_t>(e)],
                         tag2(k, static_cast<int>(e)));
@@ -178,7 +178,7 @@ class MatmulRun {
     for (int d = 0; d < q_; ++d) {
       for (long e = 0; e < elems; ++e) {
         runtime::Exchange<T> ex(m_, runtime::TransferMode::Word);
-        for_each_proc([&](int i, int j, int k, Local<T>& loc) {
+        for_each_pe([&](int i, int j, int k, Local<T>& loc) {
           const int dst = rank((k + d) % q_, i, j);
           if (dst == rank(i, j, k)) {
             ensure_b(loc);
@@ -193,14 +193,14 @@ class MatmulRun {
         deliver_b_elems(ex);
       }
     }
-    for_each_proc([&](int, int, int k, Local<T>& loc) {
+    for_each_pe([&](int, int, int k, Local<T>& loc) {
       install(loc.a_full, k, loc.a_piece);
     });
   }
 
   // ---- superstep 2 --------------------------------------------------------
   void local_multiply() {
-    for_each_proc([&](int, int, int, Local<T>& loc) {
+    for_each_pe([&](int, int, int, Local<T>& loc) {
       loc.chat.assign(static_cast<std::size_t>(bs_) * bs_, T{});
     });
     for (int p = 0; p < grid_.procs(); ++p) {
@@ -235,7 +235,7 @@ class MatmulRun {
       for (int d = 0; d < q_; ++d) {
         for (long e = 0; e < elems; ++e) {
           runtime::Exchange<T> ex(m_, runtime::TransferMode::Word);
-          for_each_proc([&](int i, int j, int k, Local<T>& loc) {
+          for_each_pe([&](int i, int j, int k, Local<T>& loc) {
             const int l = (j + d) % q_;
             const int dst = rank(i, k, l);
             const T val = piece_of(loc, l)[static_cast<std::size_t>(e)];
@@ -261,7 +261,7 @@ class MatmulRun {
     if (v_ == MatmulVariant::Bpram) {
       for (int d = 0; d < q_; ++d) {
         runtime::Exchange<T> ex(m_, runtime::TransferMode::Block);
-        for_each_proc([&](int i, int j, int k, Local<T>& loc) {
+        for_each_pe([&](int i, int j, int k, Local<T>& loc) {
           const int l = (j + d) % q_;
           const int dst = rank(i, k, l);
           if (dst == rank(i, j, k)) {
@@ -277,7 +277,7 @@ class MatmulRun {
     }
     // BSP word superstep.
     runtime::Exchange<T> ex(m_, runtime::TransferMode::Word);
-    for_each_proc([&](int i, int j, int k, Local<T>& loc) {
+    for_each_pe([&](int i, int j, int k, Local<T>& loc) {
       for (int d = 0; d < q_; ++d) {
         const int l = stag ? (j + d) % q_ : d;
         const int dst = rank(i, k, l);
@@ -308,7 +308,7 @@ class MatmulRun {
 
   // ---- plumbing -----------------------------------------------------------
   template <typename Fn>
-  void for_each_proc(Fn&& fn) {
+  void for_each_pe(Fn&& fn) {
     for (int i = 0; i < q_; ++i) {
       for (int j = 0; j < q_; ++j) {
         for (int k = 0; k < q_; ++k) {

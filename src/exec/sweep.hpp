@@ -14,7 +14,7 @@
 #include "audit/audit.hpp"
 #include "core/series.hpp"
 #include "exec/checkpoint.hpp"
-#include "exec/parallel_runner.hpp"
+#include "exec/parallel_for.hpp"
 #include "exec/progress.hpp"
 #include "exec/watchdog.hpp"
 #include "fault/plan.hpp"
@@ -359,8 +359,7 @@ inline SweepResult run_sweep(const SweepSpec& spec) {
 
   ProgressReporter progress(std::cerr, spec.experiment, pending.size());
   Watchdog watchdog(spec.cell_timeout_ms);
-  ParallelRunner runner(spec.jobs);
-  const auto escaped = runner.for_each_collect(pending.size(), [&](std::size_t i) {
+  const auto escaped = parallel_for(spec.jobs, pending.size(), [&](std::size_t i) {
     const std::size_t c = pending[i];
     detail::CellState& st = state[c];
     detail::run_cell(spec, root, c, watchdog, tracing, trace_cell, &capture,

@@ -53,55 +53,40 @@ bool Injector::packet_plane() const {
   }
 }
 
-net::CommPattern Injector::apply_packet_faults(const net::CommPattern& pattern,
-                                               long superstep,
-                                               ExchangeFaults* out) {
-  if (!packet_plane() || !plan_->in_window(superstep)) return pattern;
-  net::CommPattern faulted(pattern.procs());
-  // Walk the active-sender view in ascending order: identical draw order to
-  // the historical all-P scan (silent senders never drew), and the faulted
-  // pattern is rebuilt already in canonical order.
-  for (const int src : pattern.senders()) {
-    const auto queue = pattern.sends_of(src);
-    for (std::size_t q = 0; q < queue.size(); ++q) {
-      const net::Message& m = queue[q];
-      const PacketFault fault{m.src, m.dst, m.bytes, q};
-      bool duplicate = false;
-      switch (plan_->kind) {
-        case FaultKind::DropPacket:
-          if (stream_.next_double() < plan_->rate) {
-            ++counters_.dropped;
-            // Fault-trace ledger, populated only when the caller asks for a
-            // record of the injected faults (out != nullptr).
-            if (out != nullptr) out->dropped.push_back(fault);  // pcm-lint:allow(hot-path-alloc)
-            continue;  // lost in flight
-          }
-          break;
-        case FaultKind::DeadChannel:
-          // No draw: the per-trial mask already decided, and keeping the
-          // stream untouched here makes window edges easy to reason about.
-          if (dead_[static_cast<std::size_t>(m.src)] != 0 ||
-              dead_[static_cast<std::size_t>(m.dst)] != 0) {
-            ++counters_.dropped;
-            if (out != nullptr) out->dropped.push_back(fault);  // pcm-lint:allow(hot-path-alloc)
-            continue;
-          }
-          break;
-        case FaultKind::DuplicatePacket:
-          if (stream_.next_double() < plan_->rate) {
-            ++counters_.duplicated;
-            if (out != nullptr) out->duplicated.push_back(fault);  // pcm-lint:allow(hot-path-alloc)
-            duplicate = true;
-          }
-          break;
-        default:
-          break;
-      }
-      faulted.add(m);
-      if (duplicate) faulted.add(m);  // rides right behind the original
+void Injector::apply_packet_faults(const net::CommPattern& pattern,
+                                   long superstep,
+                                   std::vector<std::uint8_t>& copies) {
+  copies.clear();
+  if (!packet_plane() || !plan_->in_window(superstep)) return;
+  // One draw per message of a drawing kind, in canonical (sender, queue
+  // position) order; silent senders draw nothing.
+  const auto messages = pattern.messages();
+  copies.resize(messages.size());  // pcm-lint:allow(hot-path-alloc)
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const net::Message& m = messages[i];
+    std::uint8_t n = 1;
+    switch (plan_->kind) {
+      case FaultKind::DropPacket:
+        if (stream_.next_double() < plan_->rate) n = 0;  // lost in flight
+        break;
+      case FaultKind::DeadChannel:
+        // No draw: the per-trial mask already decided, and keeping the
+        // stream untouched here makes window edges easy to reason about.
+        if (dead_[static_cast<std::size_t>(m.src)] != 0 ||
+            dead_[static_cast<std::size_t>(m.dst)] != 0) {
+          n = 0;
+        }
+        break;
+      case FaultKind::DuplicatePacket:
+        if (stream_.next_double() < plan_->rate) n = 2;
+        break;
+      default:
+        break;
     }
+    counters_.dropped += n == 0 ? 1 : 0;
+    counters_.duplicated += n == 2 ? 1 : 0;
+    copies[i] = n;
   }
-  return faulted;
 }
 
 double Injector::compute_multiplier(int p, long superstep) const {

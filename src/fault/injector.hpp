@@ -19,11 +19,11 @@
 //                           Rng(plan.seed).split(machine_seed).split(t) and
 //                           redraws the per-trial straggler multipliers and
 //                           dead-channel mask;
-//   apply_packet_faults     exchange() — rewrites the CommPattern (drops,
-//                           duplicates, dead channels) and records which
-//                           (sender, queue position) slots were touched so
-//                           the runtime Exchange can mirror the faults onto
-//                           its staged parcels;
+//   apply_packet_faults     exchange() — decides how many copies of each
+//                           message the network carries (drops, duplicates,
+//                           dead channels); the machine routes the rewritten
+//                           pattern and the runtime Exchange delivers each
+//                           staged element that many times;
 //   compute_multiplier      charge()/charge_all() — straggler slowdown;
 //   barrier_stall           barrier() — transient stall in µs;
 //   should_corrupt/corrupt  runtime Exchange delivery — payload bit flips.
@@ -33,32 +33,6 @@
 // function of (plan, machine seed, trial) — bit-identical at any --jobs.
 
 namespace pcm::fault {
-
-/// One message-level fault, identified by the sender and the message's
-/// position in that sender's ordered queue of the *original* pattern.
-struct PacketFault {
-  int src = 0;
-  int dst = 0;
-  int bytes = 0;
-  std::size_t qpos = 0;  ///< Index into the original sends_of(src).
-
-  friend bool operator==(const PacketFault&, const PacketFault&) = default;
-};
-
-/// The packet faults injected into one exchange, for the runtime layer to
-/// mirror onto its staged payloads.
-struct ExchangeFaults {
-  std::vector<PacketFault> dropped;
-  std::vector<PacketFault> duplicated;
-
-  [[nodiscard]] bool empty() const {
-    return dropped.empty() && duplicated.empty();
-  }
-  void clear() {
-    dropped.clear();
-    duplicated.clear();
-  }
-};
 
 /// Cumulative event counts over the injector's lifetime (all trials).
 struct FaultCounters {
@@ -79,15 +53,12 @@ class Injector {
   /// Start trial `t`: rewind the event stream and redraw per-trial state.
   void new_trial(long trial);
 
-  /// True when the plan's kind rewrites communication patterns (drop /
-  /// duplicate / dead channel). Timing-only and payload kinds return false
-  /// and exchange() skips the rewrite entirely.
-  [[nodiscard]] bool packet_plane() const;
-
-  /// Rewrite `pattern` under the plan (out-of-window supersteps pass
-  /// through untouched) and append the injected faults to `out`.
-  [[nodiscard]] net::CommPattern apply_packet_faults(
-      const net::CommPattern& pattern, long superstep, ExchangeFaults* out);
+  /// Draw the packet faults for `pattern`: fills `copies` with one entry per
+  /// message of pattern.messages(), in canonical order — 0 = dropped,
+  /// 1 = delivered once, 2 = duplicated. Leaves `copies` empty, drawing
+  /// nothing, when the plan rewrites no packets at this superstep.
+  void apply_packet_faults(const net::CommPattern& pattern, long superstep,
+                           std::vector<std::uint8_t>& copies);
 
   /// Straggler slowdown for processor p (1.0 when none applies).
   [[nodiscard]] double compute_multiplier(int p, long superstep) const;
@@ -105,6 +76,11 @@ class Injector {
   void corrupt(std::span<unsigned char> payload);
 
  private:
+  /// True when the plan's kind rewrites communication patterns (drop /
+  /// duplicate / dead channel); timing-only and payload kinds leave every
+  /// exchange's pattern alone.
+  [[nodiscard]] bool packet_plane() const;
+
   std::shared_ptr<const FaultPlan> plan_;
   std::uint64_t machine_seed_;
   int procs_;

@@ -101,7 +101,7 @@ void Machine::charge_all(sim::Micros us) {
 
 void Machine::exchange(const net::CommPattern& pattern) {
   check_cancel();
-  last_faults_.clear();
+  last_copies_.clear();
   if (audit::enabled() && pattern.procs() != procs()) {
     audit_fail("packet-conservation", "pattern",
                "pattern built for " + std::to_string(pattern.procs()) +
@@ -110,14 +110,21 @@ void Machine::exchange(const net::CommPattern& pattern) {
   }
   assert(pattern.procs() == procs());
   if (pattern.empty()) return;
-  // Packet-plane fault kinds rewrite the pattern the router sees; the
-  // runtime Exchange reads last_exchange_faults() afterwards to mirror the
-  // rewrites onto its staged payloads.
+  // Packet-plane fault kinds rewrite the pattern the router sees: each
+  // message travels last_copies_[i] times, a duplicate right behind its
+  // original. The runtime Exchange delivers its payloads by the same counts.
   const net::CommPattern* routed = &pattern;
   std::optional<net::CommPattern> faulted;
-  if (injector_ != nullptr && injector_->packet_plane()) {
-    faulted =
-        injector_->apply_packet_faults(pattern, superstep_, &last_faults_);
+  if (injector_ != nullptr) {
+    injector_->apply_packet_faults(pattern, superstep_, last_copies_);
+  }
+  if (!last_copies_.empty()) {
+    const auto messages = pattern.messages();
+    // Only a packet-fault plan builds the rewritten pattern.
+    faulted.emplace(procs());  // pcm-lint:allow(hot-path-alloc)
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      for (int c = 0; c < last_copies_[i]; ++c) faulted->add(messages[i]);
+    }
     routed = &*faulted;
   }
   if (routed->empty()) return;  // every message dropped
@@ -208,7 +215,7 @@ void Machine::reset() {
   // and the span recorder's cursor must restart at zero.
   spans_.begin_trial(trial_);
   if (injector_ != nullptr) injector_->new_trial(trial_);
-  last_faults_.clear();
+  last_copies_.clear();
 }
 
 void Machine::reseed(std::uint64_t seed) {

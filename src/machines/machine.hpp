@@ -1,9 +1,12 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "fault/injector.hpp"
 #include "machines/local_compute.hpp"
@@ -110,11 +113,12 @@ class Machine {
   }
   [[nodiscard]] fault::Injector* injector() { return injector_.get(); }
 
-  /// Packet faults injected into the most recent exchange(). The runtime
-  /// Exchange reads this right after machine.exchange() returns to mirror
-  /// drops/duplicates onto its staged payloads.
-  [[nodiscard]] const fault::ExchangeFaults& last_exchange_faults() const {
-    return last_faults_;
+  /// How many copies of each message of the most recent exchange()'s
+  /// pattern the network carried, indexed like pattern.messages() (0 =
+  /// dropped, 2 = duplicated); empty when no packet fault applied. The
+  /// runtime Exchange reads it right after machine.exchange() returns.
+  [[nodiscard]] std::span<const std::uint8_t> last_packet_copies() const {
+    return last_copies_;
   }
 
   /// Register a cooperative cancellation flag (owned by the caller, may be
@@ -135,7 +139,7 @@ class Machine {
   long trial_ = 0;
   std::vector<sim::Micros> audit_start_;  // audit-mode pre-route snapshot
   std::unique_ptr<fault::Injector> injector_;
-  fault::ExchangeFaults last_faults_;
+  std::vector<std::uint8_t> last_copies_;
   const std::atomic<bool>* cancel_ = nullptr;
 
   /// Throw fault::CancelledError if the registered cancellation flag is set.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <span>
 #include <type_traits>
@@ -24,12 +25,13 @@
 //   - Block: each staged parcel is a single message of size(data) bytes
 //            (MP-BPRAM style bulk transfer).
 //
-// Fault injection: when the machine carries a fault::Injector, the machine
-// rewrites the pattern (drops/duplicates) during exchange(); run() then
-// mirrors those packet faults onto the staged payloads — a dropped message's
-// element never arrives, a duplicated one arrives twice — and applies
-// payload-corruption draws at delivery. The audit conservation check is
-// adjusted by the same fault records, so --audit and --fault compose.
+// Fault injection: when the machine carries a fault::Injector, exchange()
+// draws a copy count per message of the staged pattern (0 = dropped,
+// 2 = duplicated) and routes the rewritten pattern; run() delivers each
+// staged element by the same count — a dropped message's element never
+// arrives, a duplicated one arrives twice — and applies payload-corruption
+// draws at delivery. The audit conservation check is adjusted by the same
+// counts, so --audit and --fault compose.
 
 namespace pcm::runtime {
 
@@ -90,13 +92,14 @@ class Exchange {
     // it after a reset() (stale read) is caught. Unstamped mailboxes carry
     // no machine pointer, so runs without the detector cannot dangle.
     if (race::enabled()) box.race_stamp(machine_);
-    const fault::ExchangeFaults& faults = machine_.last_exchange_faults();
+    const auto copies_of = machine_.last_packet_copies();
     fault::Injector* inj = machine_.injector();
     const long step = machine_.superstep();
     for (auto& s : staged_) {
       int copies = 1;
-      if (!faults.empty()) {
-        copies = apply_packet_faults(s, faults, auditing ? &injected : nullptr);
+      if (!copies_of.empty()) {
+        copies =
+            apply_packet_faults(s, copies_of, auditing ? &injected : nullptr);
       }
       if (copies == 0) continue;  // lost in flight
       bool corrupted = false;
@@ -129,60 +132,43 @@ class Exchange {
     int dst;
     int tag;
     /// Position of this parcel's first message in src's per-sender queue of
-    /// the staged CommPattern — the key packet-fault records are matched on.
+    /// the staged CommPattern.
     std::size_t first_qpos;
     std::vector<T> data;
   };
 
-  /// Mirror the machine's injected packet faults onto one staged parcel,
-  /// adjusting the audit snapshot (when non-null) by the same records.
+  /// Apply the machine's per-message copy counts to one staged parcel,
+  /// adjusting the audit snapshot (when non-null) by the same counts.
   /// Returns how many copies of the parcel to deliver (0 = dropped).
-  int apply_packet_faults(Staged& s, const fault::ExchangeFaults& faults,
+  int apply_packet_faults(Staged& s, std::span<const std::uint8_t> copies_of,
                           audit::EndpointBytes* injected) {
-    if (mode_ == TransferMode::Block) {
-      // One staged parcel == one message: drop it or deliver it twice.
-      int copies = 1;
-      for (const auto& f : faults.dropped) {
-        if (f.src == s.src && f.qpos == s.first_qpos) {
-          copies = 0;
-          if (injected != nullptr) (*injected)[{f.src, f.dst}] -= f.bytes;
-        }
-      }
-      for (const auto& f : faults.duplicated) {
-        if (f.src == s.src && f.qpos == s.first_qpos) {
-          ++copies;
-          if (injected != nullptr) (*injected)[{f.src, f.dst}] += f.bytes;
-        }
-      }
-      return copies;
+    const bool block = mode_ == TransferMode::Block;
+    const auto base = static_cast<std::size_t>(
+        pattern_.sends_of(s.src).data() - pattern_.messages().data());
+    const auto copies =
+        copies_of.subspan(base + s.first_qpos, block ? 1 : s.data.size());
+    std::size_t carried = 0;  // messages the network carried for the parcel
+    for (const std::uint8_t c : copies) carried += c;
+    if (injected != nullptr) {
+      const auto message_bytes =
+          static_cast<long>((block ? s.data.size() : 1) * sizeof(T));
+      (*injected)[{s.src, s.dst}] +=
+          (static_cast<long>(carried) - static_cast<long>(copies.size())) *
+          message_bytes;
     }
-    // Word mode: the parcel's elements are messages
-    // [first_qpos, first_qpos + n) of s.src's queue. A dropped message loses
-    // its element; a duplicated one arrives again after the parcel body.
-    const std::size_t n = s.data.size();
-    std::vector<T> dups;
-    dups.reserve(faults.duplicated.size());
-    for (const auto& f : faults.duplicated) {
-      if (f.src == s.src && f.qpos >= s.first_qpos &&
-          f.qpos < s.first_qpos + n) {
-        dups.push_back(s.data[f.qpos - s.first_qpos]);
-        if (injected != nullptr) (*injected)[{f.src, f.dst}] += f.bytes;
-      }
+    // Block mode: one staged parcel == one message, delivered that often.
+    if (block) return copies[0];
+    // Word mode: the parcel's elements are its messages. Survivors keep
+    // their order; duplicates arrive again, in order, after the parcel body.
+    std::vector<T> delivered;
+    delivered.reserve(carried);
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+      if (copies[i] != 0) delivered.push_back(s.data[i]);
     }
-    std::vector<std::size_t> drops;  // ascending (injector walks in order)
-    drops.reserve(faults.dropped.size());
-    for (const auto& f : faults.dropped) {
-      if (f.src == s.src && f.qpos >= s.first_qpos &&
-          f.qpos < s.first_qpos + n) {
-        drops.push_back(f.qpos - s.first_qpos);
-        if (injected != nullptr) (*injected)[{f.src, f.dst}] -= f.bytes;
-      }
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+      if (copies[i] == 2) delivered.push_back(s.data[i]);
     }
-    for (auto it = drops.rbegin(); it != drops.rend(); ++it) {
-      s.data.erase(s.data.begin() + static_cast<std::ptrdiff_t>(*it));
-    }
-    s.data.reserve(s.data.size() + dups.size());
-    s.data.insert(s.data.end(), dups.begin(), dups.end());
+    s.data = std::move(delivered);
     return s.data.empty() ? 0 : 1;
   }
 

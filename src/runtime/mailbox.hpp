@@ -10,9 +10,9 @@
 #include "sim/check.hpp"
 
 // Delivered data. An Exchange produces a Mailbox: per destination processor,
-// the parcels it received in a deterministic order (sender id, then send
-// order). Tags let an algorithm separate logical streams that travel in the
-// same communication step.
+// the parcels it received in the order they were staged (so deterministic).
+// Tags let an algorithm separate logical streams that travel in the same
+// communication step.
 //
 // Race detection: Exchange::run() stamps the mailbox with the producing
 // machine's (trial, superstep) epoch while the detector is enabled. Every
@@ -55,7 +55,7 @@ class Mailbox {
     epoch_ = m.superstep();
   }
 
-  /// All parcels received by processor p, ordered by (src, send order).
+  /// All parcels received by processor p, in staging order.
   [[nodiscard]] std::span<const Parcel<T>> at(int p) const {
     PCM_CHECK(p >= 0 && p < procs());
     race_check_fresh(p);
@@ -65,31 +65,6 @@ class Mailbox {
     PCM_CHECK(p >= 0 && p < procs());
     race_check_fresh(p);
     return by_proc_[static_cast<std::size_t>(p)];
-  }
-
-  /// Parcels for processor p with a given tag.
-  [[nodiscard]] std::vector<const Parcel<T>*> with_tag(int p, int tag) const {
-    std::vector<const Parcel<T>*> out;
-    for (const auto& parcel : at(p)) {
-      if (parcel.tag == tag) out.push_back(&parcel);
-    }
-    return out;
-  }
-
-  /// Total keys/elements delivered to processor p.
-  [[nodiscard]] std::size_t count_at(int p) const {
-    std::size_t n = 0;
-    for (const auto& parcel : at(p)) n += parcel.data.size();
-    return n;
-  }
-
-  /// Parcels across all processors that a fault plan corrupted in flight.
-  [[nodiscard]] std::size_t corrupted_count() const {
-    std::size_t n = 0;
-    for (const auto& parcels : by_proc_) {
-      for (const auto& parcel : parcels) n += parcel.corrupted ? 1 : 0;
-    }
-    return n;
   }
 
  private:

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "exec/checkpoint.hpp"
-#include "exec/parallel_runner.hpp"
+#include "exec/parallel_for.hpp"
 #include "exec/progress.hpp"
 #include "exec/watchdog.hpp"
 #include "fault/process_chaos.hpp"
@@ -125,8 +125,7 @@ struct WorkerJob {
     const sim::Rng root = exec::detail::seed_root(*job.spec);
     exec::Watchdog watchdog(job.spec->cell_timeout_ms);
     std::atomic<bool> die_after_next{job.chaos.kill};
-    exec::ParallelRunner runner(job.worker_jobs);
-    (void)runner.for_each_collect(todo.size(), [&](std::size_t i) {
+    (void)exec::parallel_for(job.worker_jobs, todo.size(), [&](std::size_t i) {
       const std::size_t c = todo[i];
       CellState st;
       exec::detail::run_cell(*job.spec, root, c, watchdog, /*tracing=*/false,

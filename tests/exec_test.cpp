@@ -1,15 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "algos/bitonic.hpp"
 #include "calibrate/microbench.hpp"
-#include "exec/parallel_runner.hpp"
+#include "exec/parallel_for.hpp"
 #include "exec/sweep.hpp"
-#include "exec/thread_pool.hpp"
 #include "test_util.hpp"
 
 // The engine's determinism contract: run_sweep(spec) is bit-identical for
@@ -107,53 +109,50 @@ TEST(MachineSpec, FactoryHonoursSpec) {
   EXPECT_EQ(again->procs(), m->procs());
 }
 
-// ------------------------------------------------------------ pool / runner
+// ---------------------------------------------------------- parallel_for
 
-TEST(WorkStealingPool, RunsEverySubmittedTaskOnce) {
-  exec::WorkStealingPool pool(4);
-  constexpr int kTasks = 500;
-  std::vector<std::atomic<int>> hits(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&hits, i] { hits[static_cast<std::size_t>(i)]++; });
-  }
-  pool.wait();
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkStealingPool, NestedSubmissionFromWorkers) {
-  exec::WorkStealingPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.submit([&] {
-      count++;
-      for (int j = 0; j < 5; ++j) pool.submit([&] { count++; });
-    });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 20 * 6);
-}
-
-TEST(ParallelRunner, CoversIndexSpaceAtAnyJobCount) {
-  for (const int jobs : {1, 2, 8}) {
-    exec::ParallelRunner runner(jobs);
-    std::vector<std::atomic<int>> hits(137);
-    runner.for_each(hits.size(), [&](std::size_t i) { hits[i]++; });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(ParallelFor, CoversIndexSpaceAtAnyJobCount) {
+  for (const int jobs : {0, 1, 2, 8}) {
+    for (const std::size_t n : {0u, 1u, 137u}) {
+      std::vector<std::atomic<int>> hits(n);
+      const auto errors =
+          exec::parallel_for(jobs, n, [&](std::size_t i) { hits[i]++; });
+      EXPECT_EQ(errors.size(), n);
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << jobs << " " << n;
+    }
   }
 }
 
-TEST(ParallelRunner, PropagatesExceptions) {
-  exec::ParallelRunner runner(4);
-  EXPECT_THROW(runner.for_each(64,
-                               [](std::size_t i) {
-                                 if (i == 33) throw std::runtime_error("cell 33");
-                               }),
-               std::runtime_error);
+TEST(ParallelFor, PropagatesExceptions) {
+  const auto errors = exec::parallel_for(4, 64, [](std::size_t i) {
+    if (i == 33) throw std::runtime_error("cell 33");
+  });
+  ASSERT_TRUE(errors[33]);
+  EXPECT_THROW(std::rethrow_exception(errors[33]), std::runtime_error);
 }
 
-TEST(ParallelRunner, ZeroJobsMeansHardware) {
-  exec::ParallelRunner runner(0);
-  EXPECT_GE(runner.jobs(), 1);
+TEST(ParallelFor, ZeroJobsMeansHardware) {
+  // jobs <= 0 runs on at least one thread, whatever the runtime reports.
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  const auto errors = exec::parallel_for(0, 64, [&](std::size_t) {
+    const std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+  });
+  EXPECT_EQ(errors.size(), 64u);
+  EXPECT_GE(threads.size(), 1u);
+  EXPECT_LE(threads.size(),
+            std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+}
+
+TEST(ParallelFor, OneJobRunsSeriallyOnTheCallingThread) {
+  std::vector<std::size_t> order;
+  const auto caller = std::this_thread::get_id();
+  (void)exec::parallel_for(1, 5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 // ------------------------------------------------------------- determinism
@@ -316,9 +315,8 @@ TEST(RunSweep, RetrySucceedsWhenFailureIsTransient) {
   for (const auto& p : r.series.points) EXPECT_EQ(p.measured.n, 2u);
 }
 
-TEST(ParallelRunner, CollectIsolatesAndIndexesExceptions) {
-  exec::ParallelRunner runner(4);
-  const auto errors = runner.for_each_collect(64, [](std::size_t i) {
+TEST(ParallelFor, CollectIsolatesAndIndexesExceptions) {
+  const auto errors = exec::parallel_for(4, 64, [](std::size_t i) {
     if (i % 13 == 0) throw std::runtime_error("bad " + std::to_string(i));
   });
   ASSERT_EQ(errors.size(), 64u);

@@ -3,7 +3,6 @@
 #include "runtime/dist.hpp"
 #include "runtime/exchange.hpp"
 #include "runtime/grid.hpp"
-#include "runtime/spmd.hpp"
 #include "test_util.hpp"
 
 namespace pcm::runtime {
@@ -137,12 +136,23 @@ TEST(Exchange, DeliversPayloadsWithTags) {
   ex.send(1, 2, std::vector<int>{9}, /*tag=*/6);
   auto box = ex.run();
   ASSERT_EQ(box.at(2).size(), 2u);
-  EXPECT_EQ(box.count_at(2), 3u);
-  const auto tagged = box.with_tag(2, 6);
-  ASSERT_EQ(tagged.size(), 1u);
-  EXPECT_EQ(tagged[0]->src, 1);
-  EXPECT_EQ(tagged[0]->data.front(), 9);
+  EXPECT_EQ(box.at(2)[0].tag, 5);
+  EXPECT_EQ(box.at(2)[0].data, (std::vector<int>{7, 8}));
+  EXPECT_EQ(box.at(2)[1].tag, 6);
+  EXPECT_EQ(box.at(2)[1].src, 1);
+  EXPECT_EQ(box.at(2)[1].data, std::vector<int>{9});
   EXPECT_GT(m->now(2), 0.0);
+}
+
+TEST(Exchange, DeliversInStagingOrder) {
+  auto m = test::small_cm5();
+  Exchange<int> ex(*m, TransferMode::Block);
+  ex.send(1, 0, std::vector<int>{1});
+  ex.send(0, 0, std::vector<int>{0});
+  auto box = ex.run();
+  ASSERT_EQ(box.at(0).size(), 2u);
+  EXPECT_EQ(box.at(0)[0].src, 1);
+  EXPECT_EQ(box.at(0)[1].src, 0);
 }
 
 TEST(Exchange, ReusableAfterRun) {
@@ -153,7 +163,8 @@ TEST(Exchange, ReusableAfterRun) {
   EXPECT_EQ(ex.staged_messages(), 0u);
   ex.send(1, 0, std::vector<int>{2});
   auto box = ex.run();
-  EXPECT_EQ(box.count_at(0), 1u);
+  ASSERT_EQ(box.at(0).size(), 1u);
+  EXPECT_EQ(box.at(0)[0].data, std::vector<int>{2});
 }
 
 TEST(Exchange, SendValueHelper) {
@@ -163,26 +174,6 @@ TEST(Exchange, SendValueHelper) {
   auto box = ex.run();
   ASSERT_EQ(box.at(4).size(), 1u);
   EXPECT_FLOAT_EQ(box.at(4).front().data.front(), 2.5f);
-}
-
-TEST(Spmd, ChargeUniformAndStopwatch) {
-  auto m = test::small_gcel();
-  SimStopwatch sw(*m);
-  charge_uniform(*m, 10.0);
-  EXPECT_DOUBLE_EQ(sw.elapsed(), 10.0);
-  sw.restart();
-  EXPECT_DOUBLE_EQ(sw.elapsed(), 0.0);
-}
-
-TEST(Spmd, ForEachProcVisitsAll) {
-  auto m = test::small_cm5();
-  int count = 0;
-  for_each_proc(*m, [&](int p) {
-    EXPECT_GE(p, 0);
-    EXPECT_LT(p, m->procs());
-    ++count;
-  });
-  EXPECT_EQ(count, m->procs());
 }
 
 }  // namespace
