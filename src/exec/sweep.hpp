@@ -44,7 +44,7 @@
 // Resilience (this file's second job): a throwing cell — an AuditError, a
 // RaceError, a fault-plan-provoked failure, a watchdog cancellation — is
 // caught at the attempt boundary and recorded as a CellFailure instead of
-// tearing down the pool. Each retry attempt gets its own split of the cell
+// tearing down the sweep. Each retry attempt gets its own split of the cell
 // seed, so the retry sequence is as schedule-independent as the first
 // attempt. With a checkpoint directory configured every finished cell is
 // journalled (crash-safe, append-only), and a killed sweep resumed with

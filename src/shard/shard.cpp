@@ -98,7 +98,7 @@ struct WorkerJob {
 
 /// The child side. Never returns; exits via _exit() (a crash-chaos child
 /// via SIGKILL) so inherited destructors — the supervisor's streams,
-/// pools, journals — never run in the child.
+/// watchdog, journals — never run in the child.
 [[noreturn]] void worker_main(const WorkerJob& job) {
   try {
     // Resuming the shard journal is what makes restarts monotone: cells a

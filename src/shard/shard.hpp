@@ -24,7 +24,7 @@
 // and cannot be rebuilt from argv in a fresh image, but it crosses fork()
 // for free. The cost is the usual fork discipline — the supervisor is
 // single-threaded while any fork can still happen (its own watchdog and
-// thread pool only exist in the post-worker fallback phase), children exit
+// sweep threads only exist in the post-worker fallback phase), children exit
 // via _exit() so no inherited destructor runs twice, and stdio is flushed
 // before each fork so buffered output is not duplicated.
 //

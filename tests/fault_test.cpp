@@ -183,7 +183,8 @@ TEST(FaultInjection, CorruptFlipsOneBitAndFlagsTheParcel) {
     auto box = ex.run();
     // Byte counts are conserved — corruption is a data fault, not a loss —
     // but every parcel is flagged and differs from what was sent.
-    EXPECT_EQ(delivered_elements(box), static_cast<std::size_t>(m->procs()) * 4u);
+    EXPECT_EQ(delivered_elements(box),
+              static_cast<std::size_t>(m->procs()) * 4u);
     std::size_t corrupted = 0;
     for (int p = 0; p < m->procs(); ++p) {
       for (const auto& parcel : box.at(p)) corrupted += parcel.corrupted;
