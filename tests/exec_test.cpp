@@ -123,6 +123,18 @@ TEST(ParallelFor, CoversIndexSpaceAtAnyJobCount) {
   }
 }
 
+TEST(ParallelFor, RunsEveryIndexOnceAcrossWorkers) {
+  // Many more indices than workers: each worker claims many cells, and no
+  // cell is claimed twice or skipped.
+  constexpr std::size_t kCells = 500;
+  std::vector<std::atomic<int>> hits(kCells);
+  const auto errors =
+      exec::parallel_for(4, kCells, [&](std::size_t i) { hits[i]++; });
+  EXPECT_EQ(errors.size(), kCells);
+  for (const auto& e : errors) EXPECT_FALSE(e);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 TEST(ParallelFor, PropagatesExceptions) {
   const auto errors = exec::parallel_for(4, 64, [](std::size_t i) {
     if (i == 33) throw std::runtime_error("cell 33");
