@@ -68,7 +68,7 @@ struct Env {
   bool race = false;      ///< Run with the superstep race detector enabled.
   std::string fault;        ///< The --fault spec as given (empty = none).
   int retries = 0;          ///< Extra attempts per failing cell.
-  double cell_timeout_ms = 0.0;  ///< Watchdog budget per cell; 0 = off.
+  double cell_timeout_ms = 0.0;  ///< Wall-clock budget per attempt; 0 = off.
   std::string checkpoint;   ///< Journal directory (empty = no journal).
   bool resume = false;      ///< Resume from the checkpoint journal.
   bool metrics = false;     ///< Collect and print the metrics summary.
@@ -257,7 +257,7 @@ inline BenchMachine make_machine(const char* argv0, const Env& env,
 /// Fill the engine-facing fields of a SweepSpec from the parsed flags: the
 /// per-cell machine recipe, worker count, base seed (seed also becomes the
 /// calibration-machine seed, keeping the whole bench one seed family), and
-/// the resilience policy (retries, watchdog, checkpoint journal).
+/// the resilience policy (retries, attempt deadline, checkpoint journal).
 inline void apply_env(SweepSpec& spec, const Env& env,
                       const machines::MachineSpec& machine) {
   spec.machine = machine;

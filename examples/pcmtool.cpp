@@ -8,14 +8,21 @@
 //   pcmtool calibrate <maspar|gcel|cm5> [--trials=K]
 //   pcmtool matmul    <machine> [--n=256] [--variant=bpram|bsp|bsp-unstag|mp-bsp] [--breakdown]
 //   pcmtool sort      <machine> [--keys-per-node=1024] [--algo=bitonic|samplesort]
-//                     [--variant=word|word-sync|block|packed] [--breakdown]
+//                     [--variant=block|word|word-sync (bitonic), block|packed
+//                     (samplesort)] [--breakdown]
 //   pcmtool apsp      <machine> [--n=128] [--breakdown]
+//
+// Numeric flags must be whole positive integers and --algo/--variant one of
+// the listed values; anything else prints the reason and exits 2.
 
+#include <charconv>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "algos/apsp.hpp"
 #include "audit/audit.hpp"
@@ -45,10 +52,6 @@ struct Options {
   std::string machine;
   std::map<std::string, std::string> flags;
 
-  [[nodiscard]] long get(const std::string& key, long fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atol(it->second.c_str());
-  }
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const {
     const auto it = flags.find(key);
@@ -80,6 +83,40 @@ Options parse(int argc, char** argv) {
     }
   }
   return o;
+}
+
+/// Read a positive int flag: the whole value must parse with
+/// std::from_chars, be > 0 and fit in int. A missing flag yields
+/// `fallback`. Otherwise prints the reason and returns false (exit 2).
+bool positive_flag(const Options& o, const std::string& key, int fallback,
+                   int* out) {
+  const auto it = o.flags.find(key);
+  if (it == o.flags.end()) {
+    *out = fallback;
+    return true;
+  }
+  const std::string& text = it->second;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, *out);
+  if (ec == std::errc() && ptr == last && *out > 0) return true;
+  std::cerr << "pcmtool: --" << key << " expects a positive integer, got '"
+            << text << "'\n";
+  return false;
+}
+
+/// Read a flag that must be one of `choices`; a missing flag yields the
+/// first. Otherwise prints the reason and returns false (exit 2).
+bool choice_flag(const Options& o, const std::string& key,
+                 std::initializer_list<std::string_view> choices,
+                 std::string* out) {
+  *out = o.get(key, std::string(*choices.begin()));
+  for (const std::string_view c : choices) {
+    if (*out == c) return true;
+  }
+  std::cerr << "pcmtool: --" << key << " expects one of";
+  for (const std::string_view c : choices) std::cerr << ' ' << c;
+  std::cerr << ", got '" << *out << "'\n";
+  return false;
 }
 
 std::unique_ptr<machines::Machine> make_machine_named(const std::string& name,
@@ -196,7 +233,7 @@ int cmd_params() {
 
 int cmd_calibrate(machines::Machine& m, const Options& o) {
   calibrate::CalibrationOptions opts;
-  opts.trials = static_cast<int>(o.get("trials", 10));
+  if (!positive_flag(o, "trials", 10, &opts.trials)) return 2;
   const auto p = calibrate::calibrate(m, opts);
   obs_capture(m);
   std::cout << p.machine << ": g = " << report::Table::num(p.bsp.g, 1)
@@ -217,8 +254,14 @@ int cmd_calibrate(machines::Machine& m, const Options& o) {
 }
 
 int cmd_matmul(machines::Machine& m, const Options& o) {
-  const int n = algos::matmul_round_n(m, static_cast<int>(o.get("n", 256)));
-  const std::string vname = o.get("variant", std::string("bpram"));
+  int n = 0;
+  std::string vname;
+  if (!positive_flag(o, "n", 256, &n) ||
+      !choice_flag(o, "variant", {"bpram", "bsp", "bsp-unstag", "mp-bsp"},
+                   &vname)) {
+    return 2;
+  }
+  n = algos::matmul_round_n(m, n);
   algos::MatmulVariant v = algos::MatmulVariant::Bpram;
   if (vname == "bsp") v = algos::MatmulVariant::BspStaggered;
   if (vname == "bsp-unstag") v = algos::MatmulVariant::BspUnstaggered;
@@ -262,9 +305,17 @@ int cmd_matmul(machines::Machine& m, const Options& o) {
 }
 
 int cmd_sort(machines::Machine& m, const Options& o) {
-  const long per_node = o.get("keys-per-node", 1024);
-  const std::string algo = o.get("algo", std::string("bitonic"));
-  const std::string vname = o.get("variant", std::string("block"));
+  int per_node = 0;
+  std::string algo, vname;
+  if (!positive_flag(o, "keys-per-node", 1024, &per_node) ||
+      !choice_flag(o, "algo", {"bitonic", "samplesort"}, &algo)) {
+    return 2;
+  }
+  const bool variant_ok =
+      algo == "samplesort"
+          ? choice_flag(o, "variant", {"block", "packed"}, &vname)
+          : choice_flag(o, "variant", {"block", "word", "word-sync"}, &vname);
+  if (!variant_ok) return 2;
 
   sim::Rng rng(2);
   std::vector<std::uint32_t> keys(static_cast<std::size_t>(per_node) *
@@ -306,7 +357,8 @@ int cmd_sort(machines::Machine& m, const Options& o) {
 
 int cmd_apsp(machines::Machine& m, const Options& o) {
   const int s = algos::apsp_grid_side(m);
-  int n = static_cast<int>(o.get("n", 128));
+  int n = 0;
+  if (!positive_flag(o, "n", 128, &n)) return 2;
   n = ((n + s - 1) / s) * s;
   const auto d0 = algos::ref::random_digraph(n, 0.05, 3);
   if (o.has("breakdown")) m.set_observing(true);

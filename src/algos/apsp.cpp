@@ -119,7 +119,7 @@ class GroupBroadcast {
       for (int d = 1; d < gsize; ++d) {
         for (long e2 = 0; e2 < cs; ++e2) {
           runtime::Exchange<float> ex(m_, runtime::TransferMode::Word);
-          stage_allgather(ex, groups, M, gsize, d, e2, cs, /*last_extra=*/false);
+          stage_allgather(ex, groups, gsize, d, e2, cs);
           deliver(ex);
         }
       }
@@ -160,10 +160,8 @@ class GroupBroadcast {
   }
 
   void stage_allgather(runtime::Exchange<float>& ex,
-                       const std::vector<std::vector<int>>& groups, long M,
-                       int gsize, int d, long e2, long cs, bool last_extra) {
-    (void)M;
-    (void)last_extra;
+                       const std::vector<std::vector<int>>& groups,
+                       int gsize, int d, long e2, long cs) {
     for (std::size_t g = 0; g < groups.size(); ++g) {
       for (int x = 0; x < gsize; ++x) {
         const int src = groups[g][static_cast<std::size_t>(x)];

@@ -12,7 +12,6 @@ namespace pcm::exec {
 
 namespace {
 
-constexpr const char* kMagicV1 = "pcm-sweep-journal v1 ";
 constexpr const char* kMagicV2 = "pcm-sweep-journal v2 ";
 
 std::string sanitize(const std::string& name) {
@@ -40,7 +39,7 @@ std::string checksum_hex(std::uint64_t h) {
   return os.str();
 }
 
-/// Parse one "cell ..." payload (the line with any checksum column already
+/// Parse one "cell ..." payload (the line with its checksum column already
 /// stripped); returns false on any malformation.
 bool parse_entry(const std::string& line, JournalEntry* e) {
   std::istringstream is(line);
@@ -89,11 +88,10 @@ std::string one_line(const std::string& text) {
   return out;
 }
 
-/// Parse one record line of a `version` journal. Returns false when the
-/// line is malformed or (v2) fails its checksum.
-bool parse_line(const std::string& line, int version, JournalEntry* e) {
-  if (version < 2) return parse_entry(line, e);
-  // v2: "<fnv16> <payload>"; the checksum covers the payload verbatim.
+/// Parse one "<fnv16> <payload>" record line; the checksum covers the
+/// payload verbatim. Returns false when the line is malformed or fails its
+/// checksum.
+bool parse_line(const std::string& line, JournalEntry* e) {
   const auto space = line.find(' ');
   if (space != 16 || line.size() < 18) return false;
   std::uint64_t want = 0;
@@ -114,7 +112,7 @@ bool parse_line(const std::string& line, int version, JournalEntry* e) {
   return parse_entry(payload, e);
 }
 
-std::string render_entry(const JournalEntry& entry, int version) {
+std::string render_entry(const JournalEntry& entry) {
   std::ostringstream line;
   line << "cell " << entry.cell;
   if (entry.ok) {
@@ -125,7 +123,6 @@ std::string render_entry(const JournalEntry& entry, int version) {
          << (entry.kind.empty() ? "unknown" : one_line(entry.kind)) << ' '
          << one_line(entry.message);
   }
-  if (version < 2) return line.str();
   return checksum_hex(fnv1a64(line.str())) + ' ' + line.str();
 }
 
@@ -154,14 +151,7 @@ JournalLoad read_journal(const std::string& path, const std::string& header) {
 
   std::string line;
   if (!std::getline(in, line)) return load;
-  const std::string stripped = one_line(header);
-  if (line == kMagicV2 + stripped) {
-    load.version = 2;
-  } else if (line == kMagicV1 + stripped) {
-    load.version = 1;
-  } else {
-    return load;
-  }
+  if (line != kMagicV2 + one_line(header)) return load;
   load.header_matches = true;
 
   // A malformed line is only *corrupt* if a well-formed line follows it —
@@ -170,7 +160,7 @@ JournalLoad read_journal(const std::string& path, const std::string& header) {
   std::size_t bad_pending = 0;
   JournalEntry e;
   while (std::getline(in, line)) {
-    if (parse_line(line, load.version, &e)) {
+    if (parse_line(line, &e)) {
       load.corrupt_lines += bad_pending;
       bad_pending = 0;
       load.entries[e.cell] = e;
@@ -200,9 +190,8 @@ CheckpointJournal::CheckpointJournal(const std::string& dir,
     if (load.exists && !load.header_matches) {
       throw std::runtime_error(
           "checkpoint: journal '" + path_ +
-          "' belongs to a different sweep definition; refusing to resume");
+          "' is not a v2 journal of this sweep; refusing to resume");
     }
-    if (load.header_matches) version_ = load.version;
     loaded_ = std::move(load.entries);
     corrupt_lines_ = load.corrupt_lines;
     // Missing file on resume is fine: first run with --resume just starts.
@@ -230,15 +219,12 @@ CheckpointJournal::CheckpointJournal(const std::string& dir,
                              "' for writing");
   }
   if (needs_newline) out_ << '\n';
-  if (!append_mode) {
-    version_ = 2;  // fresh journals always use the current format
-    out_ << (version_ < 2 ? kMagicV1 : kMagicV2) << one_line(header) << '\n';
-  }
+  if (!append_mode) out_ << kMagicV2 << one_line(header) << '\n';
   out_ << std::flush;
 }
 
 void CheckpointJournal::append(const JournalEntry& entry) {
-  const std::string line = render_entry(entry, version_);
+  const std::string line = render_entry(entry);
   const std::lock_guard<std::mutex> lock(mu_);
   out_ << line << '\n' << std::flush;
 }

@@ -12,8 +12,8 @@
 // and the coordination substrate of the sharded runner (src/shard/).
 //
 // One journal file per sweep, append-only, one line per finished cell. The
-// current format (v2) prefixes every record with an FNV-1a 64 checksum of
-// the rest of the line:
+// format (v2) prefixes every record with an FNV-1a 64 checksum of the rest
+// of the line:
 //
 //   pcm-sweep-journal v2 <sweep identity header>
 //   <fnv16> cell <idx> ok <attempts> <hexfloat µs> [obs <token>]
@@ -25,9 +25,8 @@
 // journal's interior: a line corrupted in place (bit rot, a concurrent
 // writer gone wrong, a partial block flush) no longer has to *look* torn to
 // be caught — it fails its checksum, is skipped, and is *reported* through
-// corrupt_lines() instead of silently re-interpreted. Legacy v1 journals
-// (no checksum column) are still resumable; appending to one keeps writing
-// v1 records so the file stays uniformly parseable.
+// corrupt_lines() instead of silently re-interpreted. A file with any other
+// header line — including the checksum-free v1 format — is refused.
 //
 // Measurements are serialised as hexfloat (%a), which round-trips a double
 // exactly; a resumed sweep therefore reassembles byte-identical output from
@@ -67,7 +66,6 @@ struct JournalEntry {
 struct JournalLoad {
   bool exists = false;          ///< File was present and readable.
   bool header_matches = false;  ///< First line matched the given header.
-  int version = 0;              ///< 1 or 2; 0 when header_matches is false.
   std::map<std::size_t, JournalEntry> entries;
   std::size_t corrupt_lines = 0;  ///< Interior lines skipped as corrupt.
 };
@@ -82,8 +80,7 @@ struct JournalLoad {
 
 /// Parse a journal file against the expected identity header, without
 /// opening it for writing. This is how the shard supervisor merges worker
-/// journals it must never append to. Version is dispatched from the header
-/// line: v1 lines are trusted as before, v2 lines must pass their checksum.
+/// journals it must never append to. Every record must pass its checksum.
 /// A malformed or checksum-failing *final* line is ignored silently (the
 /// torn write of a killed process); any earlier one counts in
 /// corrupt_lines.
@@ -96,8 +93,7 @@ class CheckpointJournal {
   /// (created if missing). With resume=false any previous journal for this
   /// sweep is truncated; with resume=true its entries are loaded (torn
   /// trailing line ignored, corrupt interior lines skipped and counted) and
-  /// appending continues — in the file's own format version, so a v1
-  /// journal stays uniformly v1. `suffix` names a shard sibling
+  /// appending continues. `suffix` names a shard sibling
   /// (`.shard-K`) of the same sweep's base journal. Throws
   /// std::runtime_error on I/O failure or a resume header mismatch.
   CheckpointJournal(const std::string& dir, const std::string& experiment,
@@ -129,7 +125,6 @@ class CheckpointJournal {
   std::mutex mu_;
   std::map<std::size_t, JournalEntry> loaded_;
   std::size_t corrupt_lines_ = 0;
-  int version_ = 2;  ///< Format written by append(); 1 when resuming a v1.
 };
 
 }  // namespace pcm::exec

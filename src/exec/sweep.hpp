@@ -1,6 +1,6 @@
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -16,7 +16,6 @@
 #include "exec/checkpoint.hpp"
 #include "exec/parallel_for.hpp"
 #include "exec/progress.hpp"
-#include "exec/watchdog.hpp"
 #include "fault/plan.hpp"
 #include "machines/machine.hpp"
 #include "obs/metrics.hpp"
@@ -42,7 +41,7 @@
 // order, welding the results to the schedule.
 //
 // Resilience (this file's second job): a throwing cell — an AuditError, a
-// RaceError, a fault-plan-provoked failure, a watchdog cancellation — is
+// RaceError, a fault-plan-provoked failure, a deadline cancellation — is
 // caught at the attempt boundary and recorded as a CellFailure instead of
 // tearing down the sweep. Each retry attempt gets its own split of the cell
 // seed, so the retry sequence is as schedule-independent as the first
@@ -101,7 +100,7 @@ struct SweepSpec {
 
   // --- resilience policy ---------------------------------------------------
   int max_attempts = 1;         ///< Attempt budget per cell (>= 1).
-  double cell_timeout_ms = 0.0; ///< Watchdog wall-clock budget; <= 0 = off.
+  double cell_timeout_ms = 0.0; ///< Wall-clock budget per attempt; <= 0 = off.
   std::string checkpoint_dir;   ///< Journal directory; empty = no journal.
   bool resume = false;          ///< Skip cells already journalled.
 
@@ -181,9 +180,18 @@ inline sim::Rng seed_root(const SweepSpec& spec) {
 /// here, so a cell's outcome is a pure function of (spec, c) no matter
 /// which process computed it. `capture` (nullable) receives the trace spans
 /// when `c == trace_cell` and tracing is requested.
+///
+/// With spec.cell_timeout_ms > 0 each attempt installs a cancellation
+/// predicate on its machine that compares the host clock with a deadline
+/// taken just before measure(), so a retry gets the full budget again. The
+/// machine polls it at every exchange and barrier — on this thread only, so
+/// no state is shared. Cancellation is cooperative: a measure() that loops
+/// without touching its machine can still hang, the trade for never tearing
+/// down a thread mid-write. This is exec-layer code and may read the host
+/// clock; the clock decides only *whether* a cell completes, never a
+/// simulated time, so surviving cells stay deterministic.
 inline void run_cell(const SweepSpec& spec, const sim::Rng& root,
-                     std::size_t c, Watchdog& watchdog, bool tracing,
-                     std::size_t trace_cell,
+                     std::size_t c, bool tracing, std::size_t trace_cell,
                      std::optional<TraceCapture>* capture, CellState& st) {
   const std::size_t trials = spec.resolved_trials();
   const double x = spec.xs[c / trials];
@@ -204,15 +212,18 @@ inline void run_cell(const SweepSpec& spec, const sim::Rng& root,
       mspec.seed = cell_seed;
       const auto machine = machines::make_machine(mspec);
       if (tracing && c == trace_cell) machine->set_observing(true);
-      std::atomic<bool> cancelled{false};
-      machine->set_cancel(&cancelled);
-      // Each attempt arms its own fresh deadline: a retried cell gets the
-      // full wall-clock budget again, never the remainder of the attempt
-      // it replaced.
-      auto guard = watchdog.watch(&cancelled);
+      if (spec.cell_timeout_ms > 0.0) {
+        const auto deadline =
+            std::chrono::steady_clock::now() +
+            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                std::chrono::duration<double, std::milli>(
+                    spec.cell_timeout_ms));
+        machine->set_cancel([deadline] {
+          return std::chrono::steady_clock::now() >= deadline;
+        });
+      }
       TrialContext ctx{*machine, x, trial, cell_seed, attempt};
       const double us = spec.measure(ctx);
-      guard.release();
       st.done = true;
       st.ok = true;
       st.us = us;
@@ -358,12 +369,10 @@ inline SweepResult run_sweep(const SweepSpec& spec) {
   }
 
   ProgressReporter progress(std::cerr, spec.experiment, pending.size());
-  Watchdog watchdog(spec.cell_timeout_ms);
   const auto escaped = parallel_for(spec.jobs, pending.size(), [&](std::size_t i) {
     const std::size_t c = pending[i];
     detail::CellState& st = state[c];
-    detail::run_cell(spec, root, c, watchdog, tracing, trace_cell, &capture,
-                     st);
+    detail::run_cell(spec, root, c, tracing, trace_cell, &capture, st);
     if (journal) journal->append(detail::journal_entry_of(c, st));
     progress.cell_done(spec.xs[c / trials], static_cast<int>(c % trials));
   });

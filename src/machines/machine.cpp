@@ -40,7 +40,7 @@ Machine::Machine(std::string name, int procs, LocalCompute compute,
 }
 
 void Machine::check_cancel() const {
-  if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
+  if (cancel_ && cancel_()) {
     throw fault::CancelledError("machine '" + name_ +
                                 "' cancelled at superstep " +
                                 std::to_string(superstep_));

@@ -1,11 +1,12 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -121,10 +122,13 @@ class Machine {
     return last_copies_;
   }
 
-  /// Register a cooperative cancellation flag (owned by the caller, may be
-  /// nullptr to detach). When set, the next exchange() or barrier() throws
-  /// fault::CancelledError — how the exec watchdog reclaims a hung cell.
-  void set_cancel(const std::atomic<bool>* flag) { cancel_ = flag; }
+  /// Register a cooperative cancellation predicate (an empty function
+  /// detaches). It is polled at every exchange() and barrier(); once it
+  /// returns true, that call throws fault::CancelledError — how the exec
+  /// engine's per-attempt deadline reclaims a hung cell.
+  void set_cancel(std::function<bool()> cancelled) {
+    cancel_ = std::move(cancelled);
+  }
 
  private:
   std::string name_;
@@ -140,9 +144,9 @@ class Machine {
   std::vector<sim::Micros> audit_start_;  // audit-mode pre-route snapshot
   std::unique_ptr<fault::Injector> injector_;
   std::vector<std::uint8_t> last_copies_;
-  const std::atomic<bool>* cancel_ = nullptr;
+  std::function<bool()> cancel_;
 
-  /// Throw fault::CancelledError if the registered cancellation flag is set.
+  /// Throw fault::CancelledError if the registered predicate says so.
   void check_cancel() const;
 
   /// Throw an audit::AuditError annotated with this machine and the

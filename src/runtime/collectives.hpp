@@ -296,15 +296,11 @@ std::vector<std::vector<T>> bpram_allgather_one(machines::Machine& m,
       const int a = u / s, b = u % s;
       const int r = a * s + (b + t) % s;
       std::vector<T> blockvals;
-      std::vector<int> contributors;
       blockvals.reserve(static_cast<std::size_t>(s));
-      for (const auto& [c, v] : sub[static_cast<std::size_t>(u)]) {
-        blockvals.push_back(v);
-        contributors.push_back(c);
+      for (const auto& entry : sub[static_cast<std::size_t>(u)]) {
+        blockvals.push_back(entry.second);
       }
       ex.send(u, r, std::move(blockvals), u);
-      (void)r;
-      (void)contributors;
     }
     auto box = ex.run();
     for (int r = 0; r < P; ++r) {

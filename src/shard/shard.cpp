@@ -17,7 +17,6 @@
 #include "exec/checkpoint.hpp"
 #include "exec/parallel_for.hpp"
 #include "exec/progress.hpp"
-#include "exec/watchdog.hpp"
 #include "fault/process_chaos.hpp"
 #include "obs/trace_export.hpp"
 
@@ -98,7 +97,7 @@ struct WorkerJob {
 
 /// The child side. Never returns; exits via _exit() (a crash-chaos child
 /// via SIGKILL) so inherited destructors — the supervisor's streams,
-/// watchdog, journals — never run in the child.
+/// journals — never run in the child.
 [[noreturn]] void worker_main(const WorkerJob& job) {
   try {
     // Resuming the shard journal is what makes restarts monotone: cells a
@@ -123,12 +122,11 @@ struct WorkerJob {
     }
 
     const sim::Rng root = exec::detail::seed_root(*job.spec);
-    exec::Watchdog watchdog(job.spec->cell_timeout_ms);
     std::atomic<bool> die_after_next{job.chaos.kill};
     (void)exec::parallel_for(job.worker_jobs, todo.size(), [&](std::size_t i) {
       const std::size_t c = todo[i];
       CellState st;
-      exec::detail::run_cell(*job.spec, root, c, watchdog, /*tracing=*/false,
+      exec::detail::run_cell(*job.spec, root, c, /*tracing=*/false,
                              /*trace_cell=*/0, nullptr, st);
       journal.append(exec::detail::journal_entry_of(c, st));
       char line[64];
@@ -493,10 +491,9 @@ exec::SweepResult run_sharded_posix(const exec::SweepSpec& spec,
     }
     if (!leftovers.empty()) {
       const sim::Rng root = exec::detail::seed_root(spec);
-      exec::Watchdog watchdog(spec.cell_timeout_ms);
       for (const std::size_t c : leftovers) {
-        exec::detail::run_cell(spec, root, c, watchdog, tracing, trace_cell,
-                               &capture, state[c]);
+        exec::detail::run_cell(spec, root, c, tracing, trace_cell, &capture,
+                               state[c]);
         progress.cell_done(spec.xs[c / trials], static_cast<int>(c % trials));
       }
     }

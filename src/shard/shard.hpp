@@ -22,10 +22,9 @@
 //
 // Workers are fork()ed without exec: the measure() callback is a closure
 // and cannot be rebuilt from argv in a fresh image, but it crosses fork()
-// for free. The cost is the usual fork discipline — the supervisor is
-// single-threaded while any fork can still happen (its own watchdog and
-// sweep threads only exist in the post-worker fallback phase), children exit
-// via _exit() so no inherited destructor runs twice, and stdio is flushed
+// for free. The cost is the usual fork discipline — the supervisor never
+// starts a thread (its fallback runs cells serially), children exit via
+// _exit() so no inherited destructor runs twice, and stdio is flushed
 // before each fork so buffered output is not duplicated.
 //
 // Supervision: each worker owns a pipe and writes one `hb <cell>` line per

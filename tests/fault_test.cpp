@@ -547,13 +547,11 @@ TEST(Resilience, JournalRefusesAForeignHeader) {
 }
 
 TEST(Resilience, RetriedCellGetsAFreshWatchdogBudget) {
-  // Regression: deadlines are armed per ATTEMPT, with a generation token so
-  // the stale guard of a timed-out attempt can never disarm whatever was
-  // re-armed into its freed slot. Every cell hangs on attempt 0 and is
-  // legitimately slow on attempt 1 — slow enough that an inherited or
-  // leaked remainder of the first attempt's budget would cancel it (or,
-  // with the slot-reuse bug, let a *different* cell's first attempt hang
-  // forever). All cells completing is the proof.
+  // Regression: deadlines are taken per ATTEMPT — each attempt's machine
+  // gets its own predicate with a deadline captured just before measure().
+  // Every cell hangs on attempt 0 and is legitimately slow on attempt 1 —
+  // slow enough that an inherited remainder of the first attempt's budget
+  // would cancel it. All cells completing is the proof.
   exec::SweepSpec spec;
   spec.experiment = "fault-test-retry-budget";
   spec.x_label = "x";
@@ -651,42 +649,6 @@ TEST(Resilience, JournalDuplicateCellLaterWins) {
   EXPECT_TRUE(e.ok);
   EXPECT_EQ(e.us, 7.25);
   EXPECT_EQ(e.attempts, 2);
-}
-
-TEST(Resilience, LegacyV1JournalStillResumesAndStaysV1) {
-  const std::string dir = testing::TempDir() + "pcm-fault-test-journal-v1";
-  std::filesystem::remove_all(dir);
-  // Find the path the journal would use, then hand-write a v1 file there.
-  std::string path;
-  {
-    exec::CheckpointJournal j(dir, "exp", "H", false);
-    path = j.path();
-  }
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "pcm-sweep-journal v1 H\n"
-        << "cell 0 ok 1 0x1.8p+0\n"
-        << "cell 1 fail 2 audit packet lost\n";
-  }
-  {
-    exec::CheckpointJournal j(dir, "exp", "H", true);
-    ASSERT_EQ(j.loaded().size(), 2u);
-    EXPECT_EQ(j.loaded().at(0).us, 1.5);
-    EXPECT_EQ(j.loaded().at(1).kind, "audit");
-    j.append({2, true, 4.5, 1, "", ""});
-  }
-  // The append went out in the file's own (v1, checksum-free) format, so
-  // the journal stays uniformly parseable...
-  {
-    std::ifstream in(path);
-    std::vector<std::string> lines;
-    for (std::string l; std::getline(in, l);) lines.push_back(l);
-    ASSERT_EQ(lines.size(), 4u);
-    EXPECT_EQ(lines[3].rfind("cell 2 ok", 0), 0u);
-  }
-  // ...and a further resume sees all three cells.
-  exec::CheckpointJournal again(dir, "exp", "H", true);
-  EXPECT_EQ(again.loaded().size(), 3u);
 }
 
 TEST(Resilience, JournalCarriesTheObsTokenThroughARoundTrip) {

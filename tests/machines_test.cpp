@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "exec/sweep.hpp"
+#include "fault/plan.hpp"
 #include "net/pattern.hpp"
 #include "sim/rng.hpp"
 #include "test_util.hpp"
@@ -146,6 +147,28 @@ TEST(Machines, EmptyExchangeIsFree) {
   net::CommPattern pat(m->procs());
   m->exchange(pat);
   EXPECT_DOUBLE_EQ(m->now(), 0.0);
+}
+
+TEST(Machines, CancelPredicateStopsExchangeAndBarrier) {
+  auto m = test::small_gcel();
+  net::CommPattern pat(m->procs());
+  pat.add(0, 1, 8);
+  int polls = 0;
+  m->set_cancel([&polls] {
+    ++polls;
+    return false;
+  });
+  EXPECT_NO_THROW(m->exchange(pat));
+  EXPECT_NO_THROW(m->barrier());
+  EXPECT_EQ(polls, 2);  // one poll per check point
+
+  m->set_cancel([] { return true; });
+  EXPECT_THROW(m->exchange(pat), fault::CancelledError);
+  EXPECT_THROW(m->barrier(), fault::CancelledError);
+
+  m->set_cancel({});  // detached: no predicate, no throw
+  EXPECT_NO_THROW(m->exchange(pat));
+  EXPECT_NO_THROW(m->barrier());
 }
 
 TEST(Machines, SixtyFourKProcsSparseSuperstep) {

@@ -217,6 +217,39 @@ TEST(ShardedSweep, MetricsSurviveTheProcessBoundary) {
   EXPECT_EQ(ref.metrics, sharded.metrics);
 }
 
+TEST(ShardedSweep, TimesOutAHungCellInAWorker) {
+  ChaosGuard off;
+  fault::set_process_chaos(std::nullopt);
+  // One cell loops on barrier() forever; only the per-attempt deadline,
+  // polled inside the worker process, gets it out.
+  auto spec = grid_spec();
+  spec.cell_timeout_ms = 25.0;
+  spec.measure = [](exec::TrialContext& ctx) -> double {
+    if (ctx.x == 3.0 && ctx.trial == 2) {
+      while (true) ctx.machine.barrier();
+    }
+    ctx.machine.barrier();
+    return ctx.x * 10.0 + ctx.trial;
+  };
+  const auto ref = exec::run_sweep(spec);
+  shard::ShardReport report;
+  const auto sharded = shard::run_sharded_sweep(spec, quick_opts(2), &report);
+  EXPECT_EQ(report.cells_fallback, 0u);
+
+  ASSERT_EQ(sharded.failures.size(), 1u);
+  EXPECT_EQ(sharded.failures[0].kind, "timeout");
+  EXPECT_NE(sharded.failures[0].message.find("cancelled"), std::string::npos);
+  // The message names the superstep the deadline struck at, which is
+  // wall-clock dependent; everything else must match the threaded engine.
+  expect_bit_identical(ref.series, sharded.series);
+  ASSERT_EQ(ref.failures.size(), sharded.failures.size());
+  for (std::size_t i = 0; i < ref.failures.size(); ++i) {
+    EXPECT_EQ(ref.failures[i].cell, sharded.failures[i].cell);
+    EXPECT_EQ(ref.failures[i].kind, sharded.failures[i].kind);
+    EXPECT_EQ(ref.failures[i].attempts, sharded.failures[i].attempts);
+  }
+}
+
 TEST(ProcessChaos, RoundTripsAndDecidesDeterministically) {
   const auto chaos = fault::parse_process_chaos(
       "seed=7:kill=0.5:stall=0.25:stall-ms=300:max=4");

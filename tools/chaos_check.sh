@@ -33,8 +33,8 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT INT TERM
 mkdir -p "$WORK/ref" "$WORK/chaos" "$WORK/killed" "$WORK/resumed"
 
-# A journal record line in either format: v2 "<fnv16> cell ..." or v1 "cell ...".
-RECORD='^([0-9a-f]{16} )?cell '
+# A journal record line: "<fnv16> cell ..." (the checksummed v2 format).
+RECORD='^[0-9a-f]{16} cell '
 
 echo "== reference run (in-process, uninterrupted)"
 PCM_RESULTS_DIR="$WORK/ref" "$BENCH" --trials="$TRIALS" --jobs=1 >/dev/null
