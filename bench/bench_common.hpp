@@ -94,9 +94,8 @@ struct Env {
             << "  --audit      check runtime invariants (packet conservation,\n"
             << "               occupancy leaks, clock monotonicity) as the\n"
             << "               sweep runs\n"
-            << "  --race       check BSP superstep ordering (write-write,\n"
-            << "               read-before-sync, stale mailbox reads, bypass\n"
-            << "               writes) as the sweep runs\n"
+            << "  --race       check BSP superstep ordering (no mailbox parcel\n"
+            << "               is read after a reset()) as the sweep runs\n"
             << "  --fault=SPEC inject deterministic faults; SPEC is\n"
             << "               kind[:rate=R][:severity=X][:seed=S][:from=A][:to=B]\n"
             << "               with kind one of drop, dup, dead-channel,\n"

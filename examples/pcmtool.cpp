@@ -19,6 +19,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -104,6 +105,20 @@ bool positive_flag(const Options& o, const std::string& key, int fallback,
   return false;
 }
 
+/// Store a size rounded up (in long) to the machine's decomposition into
+/// `out`. A rounded size above INT_MAX prints the reason and returns false
+/// (exit 2), as positive_flag does for a malformed one.
+bool rounded_size(const std::string& key, int n, long rounded, int* out) {
+  if (rounded <= std::numeric_limits<int>::max()) {
+    *out = static_cast<int>(rounded);
+    return true;
+  }
+  std::cerr << "pcmtool: --" << key << "=" << n << " rounds up to " << rounded
+            << ", above the largest supported size "
+            << std::numeric_limits<int>::max() << "\n";
+  return false;
+}
+
 /// Read a flag that must be one of `choices`; a missing flag yields the
 /// first. Otherwise prints the reason and returns false (exit 2).
 bool choice_flag(const Options& o, const std::string& key,
@@ -167,9 +182,8 @@ int usage() {
          "               makespan not spent in exchanges or barriers\n"
          "global flags: --audit  check runtime invariants while the command\n"
          "                       runs\n"
-         "              --race   check BSP superstep ordering (split-phase\n"
-         "                       conflicts, stale mailbox reads) while the\n"
-         "                       command runs\n"
+         "              --race   check BSP superstep ordering (stale mailbox\n"
+         "                       reads) while the command runs\n"
          "              --fault=SPEC  inject deterministic faults while the\n"
          "                       command runs; SPEC is kind[:rate=R]\n"
          "                       [:severity=X][:seed=S][:from=A][:to=B] with\n"
@@ -261,7 +275,7 @@ int cmd_matmul(machines::Machine& m, const Options& o) {
                    &vname)) {
     return 2;
   }
-  n = algos::matmul_round_n(m, n);
+  if (!rounded_size("n", n, algos::matmul_round_n(m, n), &n)) return 2;
   algos::MatmulVariant v = algos::MatmulVariant::Bpram;
   if (vname == "bsp") v = algos::MatmulVariant::BspStaggered;
   if (vname == "bsp-unstag") v = algos::MatmulVariant::BspUnstaggered;
@@ -358,8 +372,10 @@ int cmd_sort(machines::Machine& m, const Options& o) {
 int cmd_apsp(machines::Machine& m, const Options& o) {
   const int s = algos::apsp_grid_side(m);
   int n = 0;
-  if (!positive_flag(o, "n", 128, &n)) return 2;
-  n = ((n + s - 1) / s) * s;
+  if (!positive_flag(o, "n", 128, &n) ||
+      !rounded_size("n", n, (static_cast<long>(n) + s - 1) / s * s, &n)) {
+    return 2;
+  }
   const auto d0 = algos::ref::random_digraph(n, 0.05, 3);
   if (o.has("breakdown")) m.set_observing(true);
   const auto v = (m.name().find("MasPar") != std::string_view::npos)

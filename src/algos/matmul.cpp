@@ -23,8 +23,8 @@ int matmul_q(const machines::Machine& m) {
   return runtime::Grid3::fit(m.procs()).q;
 }
 
-int matmul_round_n(const machines::Machine& m, int n) {
-  const int q2 = matmul_q(m) * matmul_q(m);
+long matmul_round_n(const machines::Machine& m, int n) {
+  const long q2 = static_cast<long>(matmul_q(m)) * matmul_q(m);
   return ((n + q2 - 1) / q2) * q2;
 }
 

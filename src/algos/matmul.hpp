@@ -44,8 +44,9 @@ struct MatmulResult {
 /// Largest q usable on this machine (q^3 <= P).
 [[nodiscard]] int matmul_q(const machines::Machine& m);
 
-/// Smallest N' >= n that the decomposition accepts (N' % q^2 == 0).
-[[nodiscard]] int matmul_round_n(const machines::Machine& m, int n);
+/// Smallest N' >= n that the decomposition accepts (N' % q^2 == 0). Long,
+/// because rounding a size near INT_MAX up overflows int.
+[[nodiscard]] long matmul_round_n(const machines::Machine& m, int n);
 
 /// Run C = A * B (N x N row-major) on the simulated machine. Requires
 /// n % q^2 == 0. The machine is reset first; the result time is the

@@ -198,9 +198,8 @@ void Machine::barrier() {
   }
   if (spans_.on()) spans_.on_barrier(before, now(), superstep_);
   ++superstep_;
-  // The superstep counter is the race detector's happens-before epoch;
-  // advancing it here is what orders pre-barrier writes before post-barrier
-  // reads in the shadow state.
+  // The superstep counter is half of the race detector's happens-before
+  // epoch (the trial is the other half); a Mailbox records both.
   if (race::enabled()) race::count_check();
 }
 

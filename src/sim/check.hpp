@@ -15,8 +15,10 @@
 
 namespace pcm::sim::detail {
 
+// Called only from the PCM_CHECK macro below, which pcm-lint does not
+// expand.
 [[noreturn]] inline void pcm_check_failed(const char* expr, const char* file,
-                                          int line) {
+                                          int line) {  // pcm-lint:allow(unreachable)
   std::fprintf(stderr, "PCM_CHECK failed: %s at %s:%d\n", expr, file, line);
   std::abort();
 }

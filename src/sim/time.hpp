@@ -4,25 +4,11 @@
 //
 // The paper reports all model parameters and measurements in microseconds
 // (Table 1), so the whole library uses `Micros` — a double holding µs of
-// simulated time. Helper literals/conversions keep call sites readable.
+// simulated time.
 
 namespace pcm::sim {
 
 /// Simulated time / duration in microseconds.
 using Micros = double;
-
-constexpr Micros from_millis(double ms) { return ms * 1e3; }
-constexpr Micros from_seconds(double s) { return s * 1e6; }
-constexpr double to_millis(Micros us) { return us / 1e3; }
-constexpr double to_seconds(Micros us) { return us / 1e6; }
-
-namespace literals {
-constexpr Micros operator""_us(long double v) { return static_cast<Micros>(v); }
-constexpr Micros operator""_us(unsigned long long v) { return static_cast<Micros>(v); }
-constexpr Micros operator""_ms(long double v) { return static_cast<Micros>(v) * 1e3; }
-constexpr Micros operator""_ms(unsigned long long v) { return static_cast<Micros>(v) * 1e3; }
-constexpr Micros operator""_s(long double v) { return static_cast<Micros>(v) * 1e6; }
-constexpr Micros operator""_s(unsigned long long v) { return static_cast<Micros>(v) * 1e6; }
-}  // namespace literals
 
 }  // namespace pcm::sim

@@ -12,17 +12,44 @@ bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
+/// First token of the declaration whose body opens at `body_begin`: walk
+/// back to the `;`, `{` or `}` that ends the previous one, skipping
+/// parenthesised spans.
+std::size_t head_begin(const std::vector<lexer::Token>& toks,
+                       std::size_t body_begin) {
+  int depth = 0;
+  std::size_t i = body_begin;
+  while (i > 0) {
+    const lexer::Token& t = toks[i - 1];
+    if (t.kind == lexer::Tok::Punct) {
+      if (t.text == ")") ++depth;
+      if (t.text == "(") --depth;
+      if (depth == 0 && (t.text == ";" || t.text == "{" || t.text == "}")) break;
+    }
+    --i;
+  }
+  return i;
+}
+
+/// Is `rel_path` in a tree whose `main` is a program root?
+bool root_tree(const std::string& rel_path) {
+  if (starts_with(rel_path, "tools/pcm-lint/")) return false;
+  return starts_with(rel_path, "bench/") || starts_with(rel_path, "examples/") ||
+         starts_with(rel_path, "perfbench/") || starts_with(rel_path, "tools/");
+}
+
 }  // namespace
 
 bool CallGraph::exempt(const std::string& rel_path) {
   return starts_with(rel_path, "src/exec/") || starts_with(rel_path, "tools/");
 }
 
-CallGraph::CallGraph(const std::vector<sema::TranslationUnit>& tus)
+CallGraph::CallGraph(const std::vector<sema::TranslationUnit>& tus,
+                     bool skip_exempt)
     : tus_(&tus) {
   std::map<std::string, std::vector<std::size_t>> index;
   for (std::size_t t = 0; t < tus.size(); ++t) {
-    if (exempt(tus[t].rel_path)) continue;  // never part of the taint graph
+    if (skip_exempt && exempt(tus[t].rel_path)) continue;
     for (std::size_t f = 0; f < tus[t].functions.size(); ++f) {
       index[tus[t].functions[f].simple_name].push_back(nodes_.size());
       nodes_.push_back(Node{t, f});
@@ -109,6 +136,58 @@ std::vector<Diagnostic> determinism_taint(
         break;  // one diagnostic per call site even if overloads all taint
       }
     }
+  }
+  return out;
+}
+
+std::vector<Diagnostic> unreachable(
+    const std::vector<sema::TranslationUnit>& tus) {
+  const CallGraph graph(tus, /*skip_exempt=*/false);
+  const std::size_t n = graph.all().size();
+
+  std::vector<char> reached(n, 0);
+  std::vector<std::size_t> work;
+  bool any_root = false;
+  for (std::size_t id = 0; id < n; ++id) {
+    const auto& fn = graph.fn(id);
+    const bool root = fn.class_name.empty() && fn.simple_name == "main" &&
+                      root_tree(graph.file_of(id));
+    any_root = any_root || root;
+    if (root || starts_with(fn.simple_name, "~")) {
+      reached[id] = 1;
+      work.push_back(id);
+    }
+  }
+  if (!any_root) return {};
+
+  while (!work.empty()) {
+    const std::size_t id = work.back();
+    work.pop_back();
+    const auto& fn = graph.fn(id);
+    const auto& toks = tus[graph.all()[id].tu].tokens;
+    // The head counts too: a constructor's member-init list and default
+    // arguments call functions before the body's `{`.
+    for (std::size_t i = head_begin(toks, fn.body_begin); i < fn.body_end; ++i) {
+      if (toks[i].kind != lexer::Tok::Ident) continue;
+      for (const std::size_t target : graph.resolve(toks[i].text)) {
+        if (reached[target]) continue;
+        reached[target] = 1;
+        work.push_back(target);
+      }
+    }
+  }
+
+  std::vector<Diagnostic> out;
+  for (std::size_t id = 0; id < n; ++id) {
+    const auto& fn = graph.fn(id);
+    if (reached[id] || !fn.class_name.empty()) continue;
+    if (!starts_with(graph.file_of(id), "src/")) continue;
+    out.push_back({graph.file_of(id), fn.line, "unreachable",
+                   "free function '" + fn.qualified_name +
+                       "' is reached from no main in bench/, examples/, "
+                       "perfbench/ or tools/ — delete it, or baseline it "
+                       "with the reason it stays (test-only callers, test "
+                       "oracle)"});
   }
   return out;
 }

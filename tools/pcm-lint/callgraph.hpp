@@ -7,7 +7,7 @@
 #include "sema.hpp"
 
 // pcm::lint::callgraph — the cross-TU linking pass and the
-// determinism-taint rule built on it.
+// determinism-taint and unreachable rules built on it.
 //
 // Linking is by simple name: a call to `f` resolves to every parsed
 // definition of `f` (overloads and same-named methods merge into one node —
@@ -24,6 +24,19 @@
 // a tainted *function* in non-exempt code, carrying the taint chain down to
 // the primitive, e.g. `warmup_bias -> jitter_scale -> host_entropy ->
 // time()`.
+//
+// unreachable: a free function or function template defined under src/
+// that no program root reaches. Roots are the `main`s under bench/,
+// examples/, perfbench/ and tools/ (tools/pcm-lint/ excepted); destructors
+// count as reached. A reached body reaches every definition whose simple
+// name it mentions as an identifier — a call, a function pointer, a call
+// with explicit template arguments, a class name naming its constructors
+// (the declaration head counts, so a member-init list links as well) —
+// so the link over-approximates and never calls live code dead. The graph
+// here includes the host-exempt trees: exec is part of every sweep's path.
+// Member functions are not reported, because name linking cannot see a
+// constructor called implicitly. A parse set without a root is a partial
+// program, and the rule stays silent on it.
 
 namespace pcm::lint::callgraph {
 
@@ -36,7 +49,9 @@ struct Node {
 /// The repo-wide graph: every definition, indexed by simple name.
 class CallGraph {
  public:
-  explicit CallGraph(const std::vector<sema::TranslationUnit>& tus);
+  /// `skip_exempt` leaves the host-exempt trees out (the taint graph).
+  explicit CallGraph(const std::vector<sema::TranslationUnit>& tus,
+                     bool skip_exempt = true);
 
   /// Node ids (indices into all()) for every definition named `simple`.
   [[nodiscard]] std::vector<std::size_t> resolve(
@@ -62,6 +77,11 @@ class CallGraph {
 /// unfiltered (the caller applies per-file suppressions) and unordered (the
 /// caller sorts).
 [[nodiscard]] std::vector<Diagnostic> determinism_taint(
+    const std::vector<sema::TranslationUnit>& tus);
+
+/// Run the unreachable rule over the full parse set (linted files plus the
+/// root trees read for their `main`s). Same contract as determinism_taint.
+[[nodiscard]] std::vector<Diagnostic> unreachable(
     const std::vector<sema::TranslationUnit>& tus);
 
 }  // namespace pcm::lint::callgraph

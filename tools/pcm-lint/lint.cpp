@@ -626,7 +626,8 @@ void assign_fingerprints(const std::map<std::string, const FileAnalysis*>& by_pa
 
 }  // namespace
 
-std::vector<Diagnostic> lint_files(const std::vector<FileContent>& files) {
+std::vector<Diagnostic> lint_files(const std::vector<FileContent>& files,
+                                   const std::vector<FileContent>& roots) {
   std::vector<FileAnalysis> analyses;
   analyses.reserve(files.size());
   for (const auto& f : files) analyses.push_back(analyze_file(f.rel_path, f.contents));
@@ -637,6 +638,11 @@ std::vector<Diagnostic> lint_files(const std::vector<FileContent>& files) {
   for (auto& fa : analyses) tus.push_back(fa.tu);
   auto taint = callgraph::determinism_taint(tus);
   auto flowed = flow::run_flow_rules(tus);
+  for (const auto& f : roots) {
+    tus.push_back(sema::parse(f.rel_path,
+                              lexer::lex(strip_comments_and_strings(f.contents))));
+  }
+  auto dead = callgraph::unreachable(tus);
 
   std::map<std::string, const FileAnalysis*> by_path;
   for (const auto& fa : analyses) by_path[fa.rel_path] = &fa;
@@ -647,7 +653,7 @@ std::vector<Diagnostic> lint_files(const std::vector<FileContent>& files) {
       if (!fa.sup.allows(d.line, d.rule)) all.push_back(std::move(d));
     }
   }
-  for (auto& cross : {&taint, &flowed}) {
+  for (auto& cross : {&taint, &flowed, &dead}) {
     for (auto& d : *cross) {
       const auto it = by_path.find(d.file);
       if (it != by_path.end() && it->second->sup.allows(d.line, d.rule)) {
@@ -675,30 +681,50 @@ std::vector<Diagnostic> lint_file(const std::string& rel_path,
 std::vector<Diagnostic> lint_tree(const std::filesystem::path& root,
                                   const std::vector<std::string>& subdirs) {
   namespace fs = std::filesystem;
-  std::vector<fs::path> paths;
-  for (const auto& sub : subdirs) {
-    const fs::path dir = root / sub;
-    if (!fs::exists(dir)) continue;
-    for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+  // Every *.hpp / *.cpp under root/dir; `skip` prunes a subtree.
+  auto walk = [&root](const std::string& dir, const std::string& skip) {
+    std::vector<fs::path> paths;
+    if (!fs::exists(root / dir)) return paths;
+    for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
       if (!entry.is_regular_file()) continue;
       const auto ext = entry.path().extension().string();
-      if (ext == ".hpp" || ext == ".cpp" || ext == ".h" || ext == ".cc") {
-        paths.push_back(entry.path());
+      if (ext != ".hpp" && ext != ".cpp" && ext != ".h" && ext != ".cc") continue;
+      if (!skip.empty() &&
+          fs::relative(entry.path(), root).generic_string().rfind(skip, 0) == 0) {
+        continue;
       }
+      paths.push_back(entry.path());
     }
-  }
-  std::sort(paths.begin(), paths.end());
+    return paths;
+  };
+  auto read = [&root](const std::vector<fs::path>& paths) {
+    std::vector<FileContent> files;
+    files.reserve(paths.size());
+    for (const auto& p : paths) {
+      std::ifstream in(p, std::ios::binary);
+      std::ostringstream buf;
+      buf << in.rdbuf();
+      files.push_back(
+          {fs::relative(p, root).generic_string(), buf.str()});  // fwd slashes
+    }
+    return files;
+  };
 
-  std::vector<FileContent> files;
-  files.reserve(paths.size());
-  for (const auto& p : paths) {
-    std::ifstream in(p, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    files.push_back(
-        {fs::relative(p, root).generic_string(), buf.str()});  // fwd slashes
+  std::vector<fs::path> linted;
+  for (const auto& sub : subdirs) {
+    const auto found = walk(sub, "");
+    linted.insert(linted.end(), found.begin(), found.end());
   }
-  return lint_files(files);
+  std::sort(linted.begin(), linted.end());
+
+  std::vector<fs::path> roots;
+  for (const char* dir : {"bench", "examples", "perfbench", "tools"}) {
+    if (std::find(subdirs.begin(), subdirs.end(), dir) != subdirs.end()) continue;
+    const auto found = walk(dir, "tools/pcm-lint/");
+    roots.insert(roots.end(), found.begin(), found.end());
+  }
+  std::sort(roots.begin(), roots.end());
+  return lint_files(read(linted), read(roots));
 }
 
 }  // namespace pcm::lint

@@ -51,6 +51,10 @@
 //                        design. Directories the map does not know are
 //                        skipped, so a new subsystem must be added here
 //                        before the rule constrains it.
+//   unreachable          a free function under src/ that no `main` in
+//                        bench/, examples/, perfbench/ or tools/ reaches
+//                        (callgraph.hpp). Those root trees are read for
+//                        this rule alone; no other rule lints them.
 //
 // Suppressions (placed in a comment on the offending line / anywhere in the
 // file):
@@ -108,13 +112,19 @@ struct FileContent {
                                                 const std::string& contents);
 
 /// Lint a set of files as one program: per-file rules plus the cross-TU
-/// call-graph pass. Diagnostics are suppression-filtered, fingerprinted and
-/// ordered by (file, line).
+/// call-graph pass. `roots` are parsed only into the unreachable rule's
+/// call graph (their `main`s are its roots); no rule reports on them.
+/// Diagnostics are suppression-filtered, fingerprinted and ordered by
+/// (file, line).
 [[nodiscard]] std::vector<Diagnostic> lint_files(
-    const std::vector<FileContent>& files);
+    const std::vector<FileContent>& files,
+    const std::vector<FileContent>& roots = {});
 
 /// Walk `subdirs` under `root`, lint every *.hpp / *.cpp, and return all
-/// diagnostics ordered by (file, line). Missing subdirs are skipped.
+/// diagnostics ordered by (file, line). Missing subdirs are skipped. The
+/// root trees the unreachable rule needs (bench, examples, perfbench, tools
+/// minus tools/pcm-lint) are read as `roots` where `subdirs` leaves them
+/// out.
 [[nodiscard]] std::vector<Diagnostic> lint_tree(
     const std::filesystem::path& root, const std::vector<std::string>& subdirs);
 

@@ -453,5 +453,41 @@ TEST(FixtureTree, EveryViolationClassCaught) {
   EXPECT_TRUE(sorted);
 }
 
+TEST(FixtureTree, UnreachableFiresOnUnreachedFreeFunctionsOnly) {
+  const auto diags =
+      lint_tree(std::string(PCM_LINT_TESTDATA) + "/unreachable", {"src"});
+  EXPECT_TRUE(has(diags, "src/runtime/bad_unreached.cpp", 6, "unreachable"));
+  EXPECT_TRUE(has(diags, "src/runtime/bad_unreached.cpp", 8, "unreachable"));
+  EXPECT_TRUE(has(diags, "src/runtime/bad_unreached.cpp", 11, "unreachable"));
+  // The suppressed function and the member function stay silent.
+  EXPECT_EQ(of_rule(diags, "unreachable").size(), 3u);
+  // Reached by call, function pointer, template arguments, member-init
+  // list and constructor declaration, through src/exec/: all silent.
+  for (const auto& d : diags) {
+    EXPECT_EQ(d.file.find("ok_"), std::string::npos)
+        << d.file << ":" << d.line << " " << d.rule;
+  }
+  // The root tree is read for its main, never linted.
+  for (const auto& d : diags) {
+    EXPECT_EQ(d.file.find("examples/"), std::string::npos) << d.file;
+  }
+}
+
+TEST(Unreachable, NeedsARootOutsideTheLinter) {
+  const std::vector<FileContent> src = {
+      {"src/net/x.cpp", "int used() { return 1; }\nint unused() { return 2; }\n"}};
+  // No root: a partial program cannot tell what is dead.
+  EXPECT_TRUE(of_rule(lint_files(src), "unreachable").empty());
+  // The linter's own main is not a program root.
+  EXPECT_TRUE(of_rule(lint_files(src, {{"tools/pcm-lint/main.cpp",
+                                        "int main() { return used(); }\n"}}),
+                      "unreachable")
+                  .empty());
+  const auto diags =
+      lint_files(src, {{"tools/runner.cpp", "int main() { return used(); }\n"}});
+  ASSERT_EQ(of_rule(diags, "unreachable").size(), 1u);
+  EXPECT_TRUE(has(diags, "src/net/x.cpp", 2, "unreachable"));
+}
+
 }  // namespace
 }  // namespace pcm::lint

@@ -58,6 +58,9 @@ const std::map<std::string, std::string>& rule_table() {
       {"hot-path-alloc",
        "Allocation or un-reserved container growth reachable from a "
        "route()/exchange()/barrier()/charge*() hot root."},
+      {"unreachable",
+       "Free function under src/ that no main in bench/, examples/, "
+       "perfbench/ or tools/ reaches through the name-linked call graph."},
       {"throw-leak",
        "Tracked resource (fopen/open/watch/lock/acquire) still held when a "
        "throw escapes the function; release or use a RAII guard."},
