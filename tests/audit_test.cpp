@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -95,6 +97,89 @@ TEST(Conservation, DetectsDroppedDuplicatedAndMisdelivered) {
   audit::EndpointBytes extra{{{0, 1}, 16}, {{2, 3}, 100}, {{1, 0}, 4}};
   EXPECT_THROW(audit::check_endpoints_conserved(injected, extra),
                audit::AuditError);
+}
+
+// --- pinned conservation messages ------------------------------------------
+//
+// The full AuditError text is part of the conservation check's contract, as
+// is which channel it names when several fail at once: the lowest (src, dst)
+// whose injected total is not matched, and only then the lowest channel that
+// delivered bytes nobody injected.
+
+/// Byte totals of a pattern staged from (src, dst, bytes), in that order.
+audit::EndpointBytes totals(
+    int procs, std::initializer_list<std::array<int, 3>> msgs) {
+  net::CommPattern pat(procs);
+  for (const auto& [src, dst, bytes] : msgs) pat.add(src, dst, bytes);
+  return audit::endpoint_bytes(pat);
+}
+
+/// what() of the AuditError the check raises; empty when it passes.
+std::string conservation_error(const audit::EndpointBytes& injected,
+                               const audit::EndpointBytes& delivered) {
+  try {
+    audit::check_endpoints_conserved(injected, delivered);
+  } catch (const audit::AuditError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ConservationMessage, ShortChannel) {
+  const auto injected = totals(4, {{0, 1, 8}, {0, 1, 8}, {2, 3, 100}});
+  const auto delivered = totals(4, {{0, 1, 8}, {2, 3, 100}});
+  EXPECT_EQ(conservation_error(injected, delivered),
+            "audit: invariant 'packet-conservation' violated (resource: "
+            "channel src=0 dst=1): injected 16 bytes, delivered 8");
+}
+
+TEST(ConservationMessage, MissingChannel) {
+  const auto injected = totals(4, {{0, 1, 16}, {2, 3, 100}});
+  const auto delivered = totals(4, {{0, 1, 16}});
+  EXPECT_EQ(conservation_error(injected, delivered),
+            "audit: invariant 'packet-conservation' violated (resource: "
+            "channel src=2 dst=3): injected 100 bytes, delivered 0");
+}
+
+TEST(ConservationMessage, NeverInjectedChannel) {
+  const auto injected = totals(4, {{0, 1, 16}, {2, 3, 100}});
+  const auto delivered = totals(4, {{0, 1, 16}, {2, 3, 100}, {1, 0, 4}});
+  EXPECT_EQ(conservation_error(injected, delivered),
+            "audit: invariant 'packet-conservation' violated (resource: "
+            "channel src=1 dst=0): delivered 4 bytes that were never "
+            "injected");
+}
+
+TEST(ConservationMessage, LowestChannelFirstInjectedBeforeExtras) {
+  // Senders staged out of order, and sender 2's queue revisits dst 3 after
+  // dst 1: the totals are per channel whatever the staging order.
+  const auto injected =
+      totals(4, {{3, 0, 4}, {2, 3, 60}, {2, 1, 8}, {2, 3, 40}, {0, 2, 8}});
+  // Two extras (1,0) and (0,3), a short (2,3) and a missing (3,0).
+  EXPECT_EQ(conservation_error(injected, totals(4, {{1, 0, 4},
+                                                    {0, 2, 8},
+                                                    {0, 3, 4},
+                                                    {2, 3, 50},
+                                                    {2, 1, 8}})),
+            "audit: invariant 'packet-conservation' violated (resource: "
+            "channel src=2 dst=3): injected 100 bytes, delivered 50");
+  EXPECT_EQ(conservation_error(injected, totals(4, {{1, 0, 4},
+                                                    {0, 2, 8},
+                                                    {0, 3, 4},
+                                                    {2, 3, 100},
+                                                    {2, 1, 8}})),
+            "audit: invariant 'packet-conservation' violated (resource: "
+            "channel src=3 dst=0): injected 4 bytes, delivered 0");
+  EXPECT_EQ(conservation_error(injected, totals(4, {{1, 0, 4},
+                                                    {0, 2, 8},
+                                                    {0, 3, 4},
+                                                    {2, 3, 100},
+                                                    {3, 0, 4},
+                                                    {2, 1, 8}})),
+            "audit: invariant 'packet-conservation' violated (resource: "
+            "channel src=0 dst=3): delivered 4 bytes that were never "
+            "injected");
+  EXPECT_EQ(conservation_error(injected, injected), "");
 }
 
 TEST(Conservation, PatternBoundsRejectBadMessages) {
