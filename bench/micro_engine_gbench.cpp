@@ -7,11 +7,13 @@
 #include "algos/local/matmul_kernel.hpp"
 #include "algos/local/merge.hpp"
 #include "algos/local/radix_sort.hpp"
+#include "audit/audit.hpp"
 #include "calibrate/microbench.hpp"
 #include "machines/machine.hpp"
 #include "net/delta_router.hpp"
 #include "net/fat_tree.hpp"
 #include "net/mesh_router.hpp"
+#include "runtime/exchange.hpp"
 
 namespace {
 
@@ -133,6 +135,31 @@ void BM_MasParSuperstepLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(BM_MasParSuperstepLoop)->Arg(1024)->Arg(16384);
+
+/// One audited Fig 12 MP-BSP step: a Word-mode Exchange<float> on the
+/// 1024-PE MasPar where each member of every 32-PE row group sends one
+/// send_value to its successor in the group (Floyd's staggered row
+/// all-gather), with the auditor's packet-conservation check on.
+void BM_AuditedExchangeStep(benchmark::State& state) {
+  const int procs = static_cast<int>(state.range(0));
+  const int gsize = 32;
+  auto m = machines::make_machine(
+      {.platform = machines::Platform::MasPar, .procs = procs, .seed = 12});
+  audit::set_enabled(true);
+  for (auto _ : state) {
+    runtime::Exchange<float> ex(*m, runtime::TransferMode::Word);
+    for (int src = 0; src < procs; ++src) {
+      const int base = src - src % gsize;
+      const int dst = base + (src - base + 1) % gsize;
+      ex.send_value(src, dst, static_cast<float>(src), src % gsize);
+    }
+    const auto box = ex.run();
+    benchmark::DoNotOptimize(box.procs());
+  }
+  audit::set_enabled(false);
+  state.SetItemsProcessed(state.iterations() * procs);
+}
+BENCHMARK(BM_AuditedExchangeStep)->Arg(1024);
 
 /// CommPattern construction throughput (the per-superstep staging cost of
 /// the runtime Exchange).

@@ -14,6 +14,7 @@
 #include "net/pattern.hpp"
 #include "race/race.hpp"
 #include "runtime/mailbox.hpp"
+#include "sim/check.hpp"
 
 // One communication step: algorithms stage sends (in the order they want
 // them issued — staggering is expressed here), run() builds the CommPattern,
@@ -68,7 +69,7 @@ class Exchange {
   /// Execute the communication step on the machine and deliver payloads.
   /// The Exchange is reusable afterwards (cleared).
   Mailbox<T> run() {
-    // Under --audit: snapshot the injected per-endpoint byte totals before
+    // Under --audit: snapshot the injected per-channel byte totals before
     // the pattern is consumed, and require the mailbox to account for every
     // one of them afterwards (each parcel delivered exactly once, to the
     // right destination, payload bytes conserved). Packet faults adjust the
@@ -95,6 +96,7 @@ class Exchange {
     const auto copies_of = machine_.last_packet_copies();
     fault::Injector* inj = machine_.injector();
     const long step = machine_.superstep();
+    std::size_t parcels = 0;  // delivered, duplicates included
     for (auto& s : staged_) {
       int copies = 1;
       if (!copies_of.empty()) {
@@ -102,6 +104,7 @@ class Exchange {
             apply_packet_faults(s, copies_of, auditing ? &injected : nullptr);
       }
       if (copies == 0) continue;  // lost in flight
+      parcels += static_cast<std::size_t>(copies);
       bool corrupted = false;
       if (inj != nullptr && inj->should_corrupt(step)) {
         corrupted = corrupt_payload(*inj, s.data);
@@ -114,14 +117,17 @@ class Exchange {
     staged_.clear();
     pattern_.clear();
     if (auditing) {
-      audit::EndpointBytes delivered;
+      // Destination-major, one record per parcel: channel_totals' counting
+      // pass by src then yields (src, dst) order without sorting.
+      std::vector<audit::ChannelBytes> walk;
+      walk.reserve(parcels);
       for (int p = 0; p < box.procs(); ++p) {
         for (const auto& parcel : box.at(p)) {
-          delivered[{parcel.src, p}] +=
-              static_cast<long>(parcel.data.size() * sizeof(T));
+          walk.push_back({parcel.src, p,
+                          static_cast<long>(parcel.data.size() * sizeof(T))});
         }
       }
-      audit::check_endpoints_conserved(injected, delivered);
+      audit::check_endpoints_conserved(injected, audit::channel_totals(walk));
     }
     return box;
   }
@@ -150,9 +156,14 @@ class Exchange {
     std::size_t carried = 0;  // messages the network carried for the parcel
     for (const std::uint8_t c : copies) carried += c;
     if (injected != nullptr) {
+      // The snapshot was taken from the pattern this parcel was staged into,
+      // so its channel is there (a fully dropped one keeps its 0-byte entry).
+      audit::ChannelBytes* channel =
+          audit::find_channel(*injected, s.src, s.dst);
+      PCM_CHECK(channel != nullptr);
       const auto message_bytes =
           static_cast<long>((block ? s.data.size() : 1) * sizeof(T));
-      (*injected)[{s.src, s.dst}] +=
+      channel->bytes +=
           (static_cast<long>(carried) - static_cast<long>(copies.size())) *
           message_bytes;
     }

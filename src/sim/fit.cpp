@@ -147,25 +147,4 @@ SqrtPolyFit fit_sqrt_poly(std::span<const double> p, std::span<const double> t) 
   return f;
 }
 
-QuadFit fit_quadratic(std::span<const double> x, std::span<const double> y) {
-  QuadFit f;
-  if (!fittable(x, y, 3)) return f;
-  double coef[3] = {};
-  if (!normal_solve<3>(
-          x, y,
-          [](double xi, double* row) {
-            row[0] = xi * xi;
-            row[1] = xi;
-            row[2] = 1.0;
-          },
-          coef)) {
-    return f;
-  }
-  f.a = coef[0];
-  f.b = coef[1];
-  f.c = coef[2];
-  f.ok = true;
-  return f;
-}
-
 }  // namespace pcm::sim

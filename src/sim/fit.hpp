@@ -42,20 +42,6 @@ struct SqrtPolyFit {
 /// least three distinct p values; anything less returns ok == false.
 SqrtPolyFit fit_sqrt_poly(std::span<const double> p, std::span<const double> t);
 
-struct QuadFit {
-  // y = a*x^2 + b*x + c
-  double a = 0.0;
-  double b = 0.0;
-  double c = 0.0;
-  bool ok = false;  ///< False: degenerate input (see fit_quadratic).
-
-  [[nodiscard]] double operator()(double x) const { return (a * x + b) * x + c; }
-};
-
-/// Least squares quadratic. Needs >= 3 points with at least three distinct
-/// x values; anything less returns ok == false.
-QuadFit fit_quadratic(std::span<const double> x, std::span<const double> y);
-
 /// Solve the small dense symmetric positive system A*x=b in place
 /// (Gaussian elimination with partial pivoting). n <= 8 expected.
 /// `a` is row-major n x n; returns false if singular.

@@ -1,7 +1,6 @@
 #include "sim/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace pcm::sim {
@@ -33,22 +32,6 @@ Summary summarize(std::span<const double> xs) {
     s.stddev = std::sqrt(ss / static_cast<double>(xs.size() - 1));
   }
   return s;
-}
-
-double relative_error(double x, double reference) {
-  assert(reference != 0.0);
-  return (x - reference) / reference;
-}
-
-double mean_abs_relative_error(std::span<const double> measured,
-                               std::span<const double> predicted) {
-  assert(measured.size() == predicted.size());
-  if (measured.empty()) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < measured.size(); ++i) {
-    acc += std::abs(relative_error(predicted[i], measured[i]));
-  }
-  return acc / static_cast<double>(measured.size());
 }
 
 // Measurement-side sample sink (calibration/report), not the router hot

@@ -21,13 +21,6 @@ struct Summary {
 /// Summarise a set of observations. Empty input yields a zeroed Summary.
 Summary summarize(std::span<const double> xs);
 
-/// Relative error (x - reference) / reference. reference must be nonzero.
-double relative_error(double x, double reference);
-
-/// Mean of |relative_error| over paired series (sizes must match).
-double mean_abs_relative_error(std::span<const double> measured,
-                               std::span<const double> predicted);
-
 /// Online accumulator for streaming observations.
 class Accumulator {
  public:

@@ -2,19 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <initializer_list>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "audit/conservation.hpp"
+#include "fault/plan.hpp"
 #include "machines/machine.hpp"
 #include "net/pattern.hpp"
 #include "net/router.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/exchange.hpp"
+#include "sim/rng.hpp"
 
 // The invariant auditor (src/audit/). Golden-path runs on the three paper
 // machines must pass with checks actually executed; deliberately broken
@@ -73,28 +81,27 @@ TEST(Conservation, EndpointBytesSumsPerChannel) {
   pat.add(2, 3, 100);
   const auto bytes = audit::endpoint_bytes(pat);
   ASSERT_EQ(bytes.size(), 2u);
-  EXPECT_EQ(bytes.at({0, 1}), 16);
-  EXPECT_EQ(bytes.at({2, 3}), 100);
+  EXPECT_EQ(bytes, (audit::EndpointBytes{{0, 1, 16}, {2, 3, 100}}));
 }
 
 TEST(Conservation, DetectsDroppedDuplicatedAndMisdelivered) {
-  audit::EndpointBytes injected{{{0, 1}, 16}, {{2, 3}, 100}};
+  audit::EndpointBytes injected{{0, 1, 16}, {2, 3, 100}};
 
   // Exact match: fine.
   EXPECT_NO_THROW(audit::check_endpoints_conserved(injected, injected));
 
   // Dropped bytes on a channel.
-  audit::EndpointBytes dropped{{{0, 1}, 8}, {{2, 3}, 100}};
+  audit::EndpointBytes dropped{{0, 1, 8}, {2, 3, 100}};
   EXPECT_THROW(audit::check_endpoints_conserved(injected, dropped),
                audit::AuditError);
 
   // A whole channel missing.
-  audit::EndpointBytes missing{{{0, 1}, 16}};
+  audit::EndpointBytes missing{{0, 1, 16}};
   EXPECT_THROW(audit::check_endpoints_conserved(injected, missing),
                audit::AuditError);
 
   // Bytes that were never injected (duplication / mis-delivery).
-  audit::EndpointBytes extra{{{0, 1}, 16}, {{2, 3}, 100}, {{1, 0}, 4}};
+  audit::EndpointBytes extra{{0, 1, 16}, {1, 0, 4}, {2, 3, 100}};
   EXPECT_THROW(audit::check_endpoints_conserved(injected, extra),
                audit::AuditError);
 }
@@ -180,6 +187,180 @@ TEST(ConservationMessage, LowestChannelFirstInjectedBeforeExtras) {
             "channel src=0 dst=3): delivered 4 bytes that were never "
             "injected");
   EXPECT_EQ(conservation_error(injected, injected), "");
+}
+
+// --- oracle equivalence ----------------------------------------------------
+//
+// The sorted-table checker against the ordered-map checker it replaced, kept
+// here as the reference: the same tables, the same verdict, the same message.
+
+using OracleBytes = std::map<std::pair<int, int>, long>;
+
+std::string oracle_error(const OracleBytes& injected,
+                         const OracleBytes& delivered) {
+  auto describe = [](const std::pair<int, int>& key) {
+    return "channel src=" + std::to_string(key.first) +
+           " dst=" + std::to_string(key.second);
+  };
+  for (const auto& [key, bytes] : injected) {
+    const auto it = delivered.find(key);
+    const long got = it == delivered.end() ? 0 : it->second;
+    if (got != bytes) {
+      return audit::AuditError("packet-conservation", describe(key),
+                               "injected " + std::to_string(bytes) +
+                                   " bytes, delivered " + std::to_string(got))
+          .what();
+    }
+  }
+  for (const auto& [key, bytes] : delivered) {
+    if (injected.find(key) == injected.end()) {
+      return audit::AuditError("packet-conservation", describe(key),
+                               "delivered " + std::to_string(bytes) +
+                                   " bytes that were never injected")
+          .what();
+    }
+  }
+  return "";
+}
+
+OracleBytes oracle_totals(const std::vector<audit::ChannelBytes>& records) {
+  OracleBytes out;
+  for (const auto& r : records) out[{r.src, r.dst}] += r.bytes;
+  return out;
+}
+
+audit::EndpointBytes flatten(const OracleBytes& totals) {
+  audit::EndpointBytes out;
+  for (const auto& [key, bytes] : totals) {
+    out.push_back({key.first, key.second, bytes});
+  }
+  return out;
+}
+
+TEST(ConservationOracle, MatchesOrderedMapOnPerturbedDeliveries) {
+  int passed = 0;
+  int short_or_missing = 0;
+  int never_injected = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    sim::Rng rng(seed);
+    const int procs = static_cast<int>(rng.next_in(1, 12));
+    const int n = static_cast<int>(rng.next_in(0, 40));
+    // Messages in random sender order, revisiting channels at random.
+    std::vector<audit::ChannelBytes> sent;
+    net::CommPattern pat(procs);
+    for (int k = 0; k < n; ++k) {
+      const audit::ChannelBytes m{static_cast<int>(rng.next_below(procs)),
+                                  static_cast<int>(rng.next_below(procs)),
+                                  rng.next_in(1, 64)};
+      pat.add(m.src, m.dst, static_cast<int>(m.bytes));
+      sent.push_back(m);
+    }
+    const auto injected = audit::endpoint_bytes(pat);
+    ASSERT_EQ(injected, flatten(oracle_totals(sent))) << "seed " << seed;
+
+    // Deliver every message once, then perturb up to three records.
+    std::vector<audit::ChannelBytes> got = sent;
+    const int faults = static_cast<int>(rng.next_in(0, 3));
+    for (int f = 0; f < faults && !got.empty(); ++f) {
+      const auto k = static_cast<std::size_t>(rng.next_below(got.size()));
+      switch (rng.next_below(5)) {
+        case 0:  // dropped
+          got.erase(got.begin() + static_cast<std::ptrdiff_t>(k));
+          break;
+        case 1:  // duplicated
+          got.push_back(got[k]);
+          break;
+        case 2:  // re-addressed
+          got[k].dst = static_cast<int>(rng.next_below(procs));
+          break;
+        case 3:  // duplicated, and the copy re-addressed
+          got.push_back(got[k]);
+          got.back().src = static_cast<int>(rng.next_below(procs));
+          break;
+        default:  // truncated
+          got[k].bytes = rng.next_in(0, got[k].bytes - 1);
+          break;
+      }
+    }
+    // A mailbox walk visits destinations in ascending order; half the
+    // cases keep that order, the rest deliver in arbitrary order.
+    rng.shuffle(std::span<audit::ChannelBytes>(got));
+    if (seed % 2 == 0) {
+      std::stable_sort(
+          got.begin(), got.end(),
+          [](const audit::ChannelBytes& a, const audit::ChannelBytes& b) {
+            return a.dst < b.dst;
+          });
+    }
+    const auto delivered = audit::channel_totals(got);
+    ASSERT_EQ(delivered, flatten(oracle_totals(got))) << "seed " << seed;
+
+    const std::string expected =
+        oracle_error(oracle_totals(sent), oracle_totals(got));
+    EXPECT_EQ(conservation_error(injected, delivered), expected)
+        << "seed " << seed;
+    if (expected.empty()) {
+      ++passed;
+    } else if (expected.find("never injected") == std::string::npos) {
+      ++short_or_missing;
+    } else {
+      ++never_injected;
+    }
+  }
+  // Every verdict the checker can reach was exercised.
+  EXPECT_GT(passed, 0);
+  EXPECT_GT(short_or_missing, 0);
+  EXPECT_GT(never_injected, 0);
+}
+
+TEST(ConservationOracle, PartialDropPlanUnderAuditInBothModes) {
+  // Half the messages dropped: some channels lose part of their bytes and
+  // some lose every copy, leaving a 0-byte injected entry that must match
+  // an absent delivered one.
+  const AuditOn on;
+  struct PlanOn {
+    PlanOn() {
+      fault::set_plan(fault::parse_fault_plan("drop:rate=0.5:seed=13"));
+    }
+    ~PlanOn() { fault::set_plan(std::nullopt); }
+  } const plan;
+  for (const auto mode :
+       {runtime::TransferMode::Word, runtime::TransferMode::Block}) {
+    auto m = machines::make_machine(machines::MachineSpec{
+        .platform = machines::Platform::CM5, .procs = 16, .seed = 5});
+    ASSERT_NE(m->injector(), nullptr);
+    const auto before = audit::checks_passed();
+    runtime::Exchange<std::uint32_t> ex(*m, mode);
+    std::set<std::pair<int, int>> staged;
+    for (int p = 0; p < m->procs(); ++p) {
+      // Two parcels on one channel around a parcel on another, so sender
+      // queues revisit a destination.
+      const int near = (p + 1) % m->procs();
+      const int far = (p + 5) % m->procs();
+      ex.send(p, near, std::vector<std::uint32_t>{1u, 2u});
+      ex.send(p, far, std::vector<std::uint32_t>{3u});
+      ex.send(p, near, std::vector<std::uint32_t>{4u, 5u, 6u});
+      staged.insert({p, near});
+      staged.insert({p, far});
+    }
+    std::size_t elements = 0;
+    std::set<std::pair<int, int>> reached;
+    EXPECT_NO_THROW({
+      const auto box = ex.run();
+      for (int p = 0; p < box.procs(); ++p) {
+        for (const auto& parcel : box.at(p)) {
+          elements += parcel.data.size();
+          reached.insert({parcel.src, p});
+        }
+      }
+    });
+    m->barrier();
+    EXPECT_GT(audit::checks_passed(), before);
+    EXPECT_GT(elements, 0u);
+    EXPECT_LT(elements, static_cast<std::size_t>(m->procs()) * 6u);
+    EXPECT_LT(reached.size(), staged.size())
+        << "no channel lost every copy; pick another plan seed";
+  }
 }
 
 TEST(Conservation, PatternBoundsRejectBadMessages) {

@@ -60,16 +60,6 @@ TEST(FitSqrtPoly, RecoversTheMasParTUnb) {
   EXPECT_NEAR(f(32.0), 0.84 * 32 + 11.8 * std::sqrt(32.0) + 73.3, 1e-6);
 }
 
-TEST(FitQuadratic, RecoversExact) {
-  std::vector<double> x{-2, -1, 0, 1, 2, 3};
-  std::vector<double> y;
-  for (double v : x) y.push_back(2.0 * v * v - 3.0 * v + 1.0);
-  const auto f = fit_quadratic(x, y);
-  EXPECT_NEAR(f.a, 2.0, 1e-9);
-  EXPECT_NEAR(f.b, -3.0, 1e-9);
-  EXPECT_NEAR(f.c, 1.0, 1e-9);
-}
-
 TEST(SolveDense, SolvesSmallSystem) {
   // [2 1; 1 3] x = [5; 10] -> x = (1, 3).
   double a[4] = {2, 1, 1, 3};
@@ -146,27 +136,6 @@ TEST(FitSqrtPoly, TwoDistinctAbscissaeIsFlagged) {
   EXPECT_DOUBLE_EQ(f.a, 0.0);
   EXPECT_DOUBLE_EQ(f.b, 0.0);
   EXPECT_DOUBLE_EQ(f.c, 0.0);
-}
-
-TEST(FitQuadratic, DegenerateInputsFlagged) {
-  std::vector<double> x2{1, 2};
-  std::vector<double> y2{1, 4};
-  EXPECT_FALSE(fit_quadratic(x2, y2).ok);  // too few points
-  std::vector<double> xd{1, 1, 2, 2};
-  std::vector<double> yd{1, 1, 4, 4};
-  EXPECT_FALSE(fit_quadratic(xd, yd).ok);  // two distinct abscissae
-  std::vector<double> x{1, 2, 3, 4};
-  std::vector<double> y;
-  for (double v : x) y.push_back(2.0 * v * v - v + 3.0);
-  EXPECT_TRUE(fit_quadratic(x, y).ok);
-}
-
-TEST(FitQuadratic, ConstantYExactWithFiniteR2) {
-  std::vector<double> x{1, 2, 3, 4, 5};
-  std::vector<double> y{7, 7, 7, 7, 7};
-  const auto f = fit_quadratic(x, y);
-  EXPECT_TRUE(f.ok);
-  EXPECT_NEAR(f(2.5), 7.0, 1e-9);
 }
 
 }  // namespace

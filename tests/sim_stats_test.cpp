@@ -40,21 +40,6 @@ TEST(Stats, MedianEvenCount) {
   EXPECT_DOUBLE_EQ(summarize(v).median, 2.5);
 }
 
-TEST(Stats, RelativeError) {
-  EXPECT_DOUBLE_EQ(relative_error(110.0, 100.0), 0.1);
-  EXPECT_DOUBLE_EQ(relative_error(90.0, 100.0), -0.1);
-}
-
-TEST(Stats, MeanAbsRelativeError) {
-  std::vector<double> measured{100, 200};
-  std::vector<double> predicted{110, 180};
-  EXPECT_NEAR(mean_abs_relative_error(measured, predicted), 0.1, 1e-12);
-}
-
-TEST(Stats, MeanAbsRelativeErrorEmpty) {
-  EXPECT_EQ(mean_abs_relative_error({}, {}), 0.0);
-}
-
 TEST(Stats, AccumulatorMatchesSummarize) {
   Accumulator acc;
   for (double v : {3.0, 1.0, 2.0}) acc.add(v);
