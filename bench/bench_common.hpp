@@ -112,10 +112,13 @@ struct Env {
             << "               representative cell (largest x, trial 0);\n"
             << "               open in Perfetto or chrome://tracing\n"
             << "  --shard-workers=N    run the sweep across N supervised\n"
-            << "               worker processes (crash-tolerant; output stays\n"
-            << "               byte-identical to an in-process run). Workers\n"
-            << "               that die are restarted with backoff and their\n"
-            << "               unfinished cells reassigned. Set\n"
+            << "               worker processes of --jobs threads each\n"
+            << "               (crash-tolerant; output stays byte-identical\n"
+            << "               to an in-process run). Workers that die are\n"
+            << "               restarted with backoff and their unfinished\n"
+            << "               cells reassigned; with --cell-timeout-ms=T a\n"
+            << "               worker silent for (K+1)*T ms plus 1 s is killed\n"
+            << "               as hung, without it none is. Set\n"
             << "               PCM_PROCESS_CHAOS=seed=S:kill=P[:stall=P]\n"
             << "               [:stall-ms=M][:max=K] to inject a seeded\n"
             << "               worker kill/stall schedule\n";
@@ -279,11 +282,8 @@ inline void apply_env(SweepSpec& spec, const Env& env,
 inline exec::SweepResult run_sweep(const SweepSpec& spec) {
   const int workers = detail::shard_workers();
   if (workers <= 1) return exec::run_sweep(spec);
-  shard::ShardOptions opts;
-  opts.workers = workers;
-  opts.worker_jobs = spec.jobs;
   shard::ShardReport rep;
-  exec::SweepResult result = shard::run_sharded_sweep(spec, opts, &rep);
+  exec::SweepResult result = shard::run_sharded_sweep(spec, workers, &rep);
   std::cerr << spec.experiment << ": sharded across " << rep.workers_requested
             << " workers — " << rep.workers_spawned << " spawned, "
             << rep.workers_restarted << " restarted, " << rep.workers_lost

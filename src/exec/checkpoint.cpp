@@ -229,8 +229,4 @@ void CheckpointJournal::append(const JournalEntry& entry) {
   out_ << line << '\n' << std::flush;
 }
 
-std::string CheckpointJournal::shard_path(int shard) const {
-  return path_ + ".shard-" + std::to_string(shard);
-}
-
 }  // namespace pcm::exec

@@ -40,8 +40,9 @@
 // several sweeps into the same --checkpoint directory gets one journal
 // each, and resuming against a journal from a *different* sweep definition
 // is refused instead of silently mixing results. Shard workers append to
-// suffixed siblings of the same base name (`<base>.journal.shard-K`), which
-// the supervisor merges in cell order.
+// suffixed siblings of the same base name (`<base>.journal.shard-K`); the
+// supervisor reads them back and appends their cells to the base journal
+// (after the fork phase, and on resume before it), then deletes them.
 
 namespace pcm::exec {
 
@@ -115,9 +116,6 @@ class CheckpointJournal {
   void append(const JournalEntry& entry);
 
   [[nodiscard]] const std::string& path() const { return path_; }
-
-  /// The path a shard sibling of this journal would have.
-  [[nodiscard]] std::string shard_path(int shard) const;
 
  private:
   std::string path_;

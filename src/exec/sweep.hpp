@@ -49,10 +49,11 @@
 // journalled (crash-safe, append-only), and a killed sweep resumed with
 // resume=true skips journalled cells and reassembles bit-identical output.
 //
-// The per-cell attempt loop (detail::run_cell) and the serial assembly
-// (detail::assemble) are deliberately factored out of run_sweep: the
-// multi-process sharded runner (src/shard/) drives the *same* code from
-// worker processes and from the supervisor's merge step, which is what
+// The per-cell attempt loop (detail::run_cell) and the pending-cell tail
+// (detail::finish: run what is not done, journal it, assemble in cell order,
+// write the trace) are deliberately factored out of run_sweep: the
+// multi-process sharded runner (src/shard/) runs run_cell in its worker
+// processes and hands its merged state to the same finish, which is what
 // makes "sharded output == threaded output == serial output" a structural
 // property instead of a parallel-maintenance promise.
 
@@ -163,7 +164,7 @@ struct CellState {
   obs::MetricsSnapshot snapshot;  ///< Touched metrics; empty when obs off.
 };
 
-/// The one representative cell that carries an exported trace.
+/// What the trace cell leaves behind for the trace file.
 struct TraceCapture {
   std::string machine_name;
   std::vector<obs::Span> spans;
@@ -174,12 +175,20 @@ inline sim::Rng seed_root(const SweepSpec& spec) {
   return sim::Rng(spec.seed != 0 ? spec.seed : spec.machine.seed);
 }
 
+/// The one representative cell that carries an exported trace: the largest
+/// x at trial 0 — the cell a reader of the figure would zoom into first.
+/// Empty when spec.trace_out is not set.
+inline std::optional<std::size_t> trace_cell(const SweepSpec& spec) {
+  if (spec.trace_out.empty() || spec.xs.empty()) return std::nullopt;
+  return (spec.xs.size() - 1) * spec.resolved_trials();
+}
+
 /// Run one cell's full attempt sequence into `st`. This is THE cell
-/// execution path: run_sweep's thread workers, the shard layer's worker
-/// processes and the supervisor's in-process fallback all funnel through
-/// here, so a cell's outcome is a pure function of (spec, c) no matter
-/// which process computed it. `capture` (nullable) receives the trace spans
-/// when `c == trace_cell` and tracing is requested.
+/// execution path: run_sweep's thread workers and the shard layer's worker
+/// processes both funnel through here, so a cell's outcome is a pure
+/// function of (spec, c) no matter which process computed it. `capture` is
+/// non-null only for the trace cell: its machine gets observability forced
+/// on and its spans land there, so a --trace-out run perturbs nothing else.
 ///
 /// With spec.cell_timeout_ms > 0 each attempt installs a cancellation
 /// predicate on its machine that compares the host clock with a deadline
@@ -191,8 +200,8 @@ inline sim::Rng seed_root(const SweepSpec& spec) {
 /// clock; the clock decides only *whether* a cell completes, never a
 /// simulated time, so surviving cells stay deterministic.
 inline void run_cell(const SweepSpec& spec, const sim::Rng& root,
-                     std::size_t c, bool tracing, std::size_t trace_cell,
-                     std::optional<TraceCapture>* capture, CellState& st) {
+                     std::size_t c, std::optional<TraceCapture>* capture,
+                     CellState& st) {
   const std::size_t trials = spec.resolved_trials();
   const double x = spec.xs[c / trials];
   const int trial = static_cast<int>(c % trials);
@@ -211,7 +220,7 @@ inline void run_cell(const SweepSpec& spec, const sim::Rng& root,
       machines::MachineSpec mspec = spec.machine;
       mspec.seed = cell_seed;
       const auto machine = machines::make_machine(mspec);
-      if (tracing && c == trace_cell) machine->set_observing(true);
+      if (capture != nullptr) machine->set_observing(true);
       if (spec.cell_timeout_ms > 0.0) {
         const auto deadline =
             std::chrono::steady_clock::now() +
@@ -230,7 +239,7 @@ inline void run_cell(const SweepSpec& spec, const sim::Rng& root,
       st.kind.clear();
       st.message.clear();
       if (machine->metrics().on()) st.snapshot = machine->metrics().snapshot();
-      if (tracing && c == trace_cell && capture != nullptr) {
+      if (capture != nullptr) {
         capture->emplace(TraceCapture{
             std::string(machine->name()),
             machine->spans().tiled(machine->now(), machine->superstep())});
@@ -326,54 +335,48 @@ inline void warn_corrupt_lines(const std::string& path, std::size_t lines) {
             << "' (affected cells will re-run)\n";
 }
 
-}  // namespace detail
-
-inline SweepResult run_sweep(const SweepSpec& spec) {
-  SweepResult out;
-  core::ValidationSeries& s = out.series;
-  s.experiment = spec.experiment;
-  s.x_label = spec.x_label;
-  s.y_label = spec.y_label;
-
-  const std::size_t trials = spec.resolved_trials();
-  const std::size_t cells = spec.cell_count();
-  out.cells_total = cells;
-  const sim::Rng root = detail::seed_root(spec);
-
-  std::vector<detail::CellState> state(cells);
-
-  // One representative cell carries the exported trace: the largest x at
-  // trial 0 — the cell a reader of the figure would zoom into first. Only
-  // that cell's machine gets observability force-enabled, so a --trace-out
-  // run perturbs nothing else.
-  const bool tracing = !spec.trace_out.empty() && !spec.xs.empty();
-  const std::size_t trace_cell = tracing ? (spec.xs.size() - 1) * trials : 0;
-  std::optional<detail::TraceCapture> capture;  // written by at most one cell
-
-  std::optional<CheckpointJournal> journal;
-  if (!spec.checkpoint_dir.empty()) {
-    journal.emplace(spec.checkpoint_dir, spec.experiment,
-                    detail::journal_header(spec), spec.resume);
-    detail::warn_corrupt_lines(journal->path(), journal->corrupt_lines());
-    for (const auto& [cell, e] : journal->loaded()) {
-      if (cell >= cells) continue;  // stale tail from a shrunk definition
-      state[cell] = detail::state_from_entry(e);
-      ++out.cells_resumed;
-    }
+/// Open spec's checkpoint journal into `journal` when one is configured and
+/// load a resumed journal's cells into `state`. Returns the cells loaded.
+inline std::size_t open_journal(const SweepSpec& spec,
+                                std::optional<CheckpointJournal>& journal,
+                                std::vector<CellState>& state) {
+  if (spec.checkpoint_dir.empty()) return 0;
+  journal.emplace(spec.checkpoint_dir, spec.experiment, journal_header(spec),
+                  spec.resume);
+  warn_corrupt_lines(journal->path(), journal->corrupt_lines());
+  std::size_t loaded = 0;
+  for (const auto& [cell, e] : journal->loaded()) {
+    if (cell >= state.size()) continue;  // stale tail from a shrunk definition
+    state[cell] = state_from_entry(e);
+    ++loaded;
   }
+  return loaded;
+}
+
+/// The pending-cell tail of every sweep: run each cell of `state` not yet
+/// done on spec.jobs threads, append it to `journal` (nullable), then
+/// assemble `out` serially in cell order and write the trace file. run_sweep
+/// calls it with the cells a resumed journal left; the shard supervisor
+/// calls it after the fork phase with the cells no worker finished, so the
+/// two engines share everything after their own way of filling `state`.
+inline void finish(const SweepSpec& spec, std::vector<CellState>& state,
+                   CheckpointJournal* journal, SweepResult* out) {
+  const std::size_t trials = spec.resolved_trials();
+  const sim::Rng root = seed_root(spec);
+  const std::optional<std::size_t> traced = trace_cell(spec);
+  std::optional<TraceCapture> capture;  // written by at most one cell
 
   std::vector<std::size_t> pending;
-  pending.reserve(cells);
-  for (std::size_t c = 0; c < cells; ++c) {
+  for (std::size_t c = 0; c < state.size(); ++c) {
     if (!state[c].done) pending.push_back(c);
   }
 
   ProgressReporter progress(std::cerr, spec.experiment, pending.size());
   const auto escaped = parallel_for(spec.jobs, pending.size(), [&](std::size_t i) {
     const std::size_t c = pending[i];
-    detail::CellState& st = state[c];
-    detail::run_cell(spec, root, c, tracing, trace_cell, &capture, st);
-    if (journal) journal->append(detail::journal_entry_of(c, st));
+    CellState& st = state[c];
+    run_cell(spec, root, c, c == traced ? &capture : nullptr, st);
+    if (journal != nullptr) journal->append(journal_entry_of(c, st));
     progress.cell_done(spec.xs[c / trials], static_cast<int>(c % trials));
   });
   // An exception that escaped even the attempt loop (progress/journal I/O,
@@ -381,7 +384,7 @@ inline SweepResult run_sweep(const SweepSpec& spec) {
   // rather than rethrown, so one broken cell cannot sink the sweep.
   for (std::size_t i = 0; i < escaped.size(); ++i) {
     if (!escaped[i]) continue;
-    detail::CellState& st = state[pending[i]];
+    CellState& st = state[pending[i]];
     st.done = true;
     st.ok = false;
     if (st.kind.empty()) st.kind = "engine";
@@ -394,11 +397,31 @@ inline SweepResult run_sweep(const SweepSpec& spec) {
     }
   }
 
-  detail::assemble(spec, state, &out);
+  assemble(spec, state, out);
   if (capture) {
     obs::write_chrome_trace(spec.trace_out, capture->machine_name,
                             capture->spans);
   }
+}
+
+/// A result with its labels and cell count set and nothing measured yet.
+inline SweepResult empty_result(const SweepSpec& spec) {
+  SweepResult out;
+  out.series.experiment = spec.experiment;
+  out.series.x_label = spec.x_label;
+  out.series.y_label = spec.y_label;
+  out.cells_total = spec.cell_count();
+  return out;
+}
+
+}  // namespace detail
+
+inline SweepResult run_sweep(const SweepSpec& spec) {
+  SweepResult out = detail::empty_result(spec);
+  std::vector<detail::CellState> state(out.cells_total);
+  std::optional<CheckpointJournal> journal;
+  out.cells_resumed = detail::open_journal(spec, journal, state);
+  detail::finish(spec, state, journal ? &*journal : nullptr, &out);
   return out;
 }
 

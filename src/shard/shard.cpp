@@ -18,7 +18,6 @@
 #include "exec/parallel_for.hpp"
 #include "exec/progress.hpp"
 #include "fault/process_chaos.hpp"
-#include "obs/trace_export.hpp"
 
 #ifdef PCM_SHARD_POSIX
 #include <fcntl.h>
@@ -30,52 +29,26 @@
 
 namespace pcm::shard {
 
+std::optional<double> liveness_deadline_ms(const exec::SweepSpec& spec) {
+  if (spec.cell_timeout_ms <= 0.0) return std::nullopt;
+  return std::max(spec.max_attempts, 1) * spec.cell_timeout_ms +
+         kLivenessGraceMs;
+}
+
 namespace {
 
-/// Supervisor-side metric ids (registered here, in a .cpp, per the
-/// metric-in-header rule).
-struct ShardMetricIds {
-  obs::MetricId spawned;
-  obs::MetricId restarted;
-  obs::MetricId lost;
-  obs::MetricId reassigned;
-  obs::MetricId fallback;
-  obs::MetricId heartbeat_gap_ms;
-};
-
-const ShardMetricIds& shard_metric_ids() {
-  static const ShardMetricIds ids = [] {
-    ShardMetricIds m;
-    m.spawned =
-        obs::register_metric("shard.workers_spawned", obs::MetricKind::Counter);
-    m.restarted = obs::register_metric("shard.workers_restarted",
-                                       obs::MetricKind::Counter);
-    m.lost =
-        obs::register_metric("shard.workers_lost", obs::MetricKind::Counter);
-    m.reassigned = obs::register_metric("shard.cells_reassigned",
-                                        obs::MetricKind::Counter);
-    m.fallback = obs::register_metric("shard.cells_fallback",
-                                      obs::MetricKind::Counter);
-    m.heartbeat_gap_ms = obs::register_metric("shard.heartbeat_gap_ms",
-                                              obs::MetricKind::Histogram);
-    return m;
-  }();
-  return ids;
-}
-
 using exec::detail::CellState;
-
-/// The single-process path: no sharding possible or requested. Still fills
-/// the report so callers can print one unconditionally.
-exec::SweepResult degrade_to_run_sweep(const exec::SweepSpec& spec,
-                                       ShardReport* report) {
-  if (report != nullptr) *report = ShardReport{};
-  return exec::run_sweep(spec);
-}
 
 #ifdef PCM_SHARD_POSIX
 
 using Clock = std::chrono::steady_clock;
+
+/// How often the supervisor wakes without a heartbeat to check liveness
+/// deadlines and backoff expiries.
+constexpr int kPollMs = 100;
+constexpr double kBackoffInitialMs = 50.0;  ///< First restart delay;
+constexpr double kBackoffMaxMs = 1000.0;    ///< doubles, capped here.
+constexpr int kMaxSpawnFailures = 3;  ///< pipe()/fork() failures per shard.
 
 double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
@@ -89,7 +62,6 @@ struct WorkerJob {
   std::string dir;     ///< Journal directory (real or temporary).
   std::string header;  ///< Sweep identity header.
   int shard = 0;
-  int worker_jobs = 1;
   std::vector<std::size_t> cells;  ///< This shard's full assignment.
   int hb_fd = -1;                  ///< Write end of the heartbeat pipe.
   fault::ChaosDecision chaos;     ///< This incarnation's injected fate.
@@ -123,11 +95,10 @@ struct WorkerJob {
 
     const sim::Rng root = exec::detail::seed_root(*job.spec);
     std::atomic<bool> die_after_next{job.chaos.kill};
-    (void)exec::parallel_for(job.worker_jobs, todo.size(), [&](std::size_t i) {
+    (void)exec::parallel_for(job.spec->jobs, todo.size(), [&](std::size_t i) {
       const std::size_t c = todo[i];
       CellState st;
-      exec::detail::run_cell(*job.spec, root, c, /*tracing=*/false,
-                             /*trace_cell=*/0, nullptr, st);
+      exec::detail::run_cell(*job.spec, root, c, nullptr, st);
       journal.append(exec::detail::journal_entry_of(c, st));
       char line[64];
       const int n = std::snprintf(line, sizeof line, "hb %zu\n", c);
@@ -170,17 +141,24 @@ struct ShardSlot {
 
 /// Merge one read-only journal file into the state vector (only cells not
 /// already settled; journals never disagree on a cell because assignments
-/// are disjoint and run_cell is a pure function of (spec, cell)).
-void merge_journal_file(const std::string& path, const std::string& header,
-                        std::vector<CellState>& state, std::size_t* merged) {
+/// are disjoint and run_cell is a pure function of (spec, cell)), appending
+/// each merged cell to the base `journal` (nullable). Returns the cells
+/// merged.
+std::size_t merge_journal_file(const std::string& path,
+                               const std::string& header,
+                               std::vector<CellState>& state,
+                               exec::CheckpointJournal* journal) {
   const exec::JournalLoad load = exec::read_journal(path, header);
-  if (!load.header_matches) return;
+  if (!load.header_matches) return 0;
   exec::detail::warn_corrupt_lines(path, load.corrupt_lines);
+  std::size_t merged = 0;
   for (const auto& [cell, e] : load.entries) {
     if (cell >= state.size() || state[cell].done) continue;
     state[cell] = exec::detail::state_from_entry(e);
-    if (merged != nullptr) ++*merged;
+    if (journal != nullptr) journal->append(e);
+    ++merged;
   }
+  return merged;
 }
 
 /// All `.shard-K` siblings of the base journal, in any K order.
@@ -198,22 +176,18 @@ std::vector<std::filesystem::path> shard_siblings(const std::string& base) {
   return out;
 }
 
+void remove_shard_siblings(const std::string& base) {
+  for (const auto& sib : shard_siblings(base)) {
+    std::error_code ec;
+    std::filesystem::remove(sib, ec);
+  }
+}
+
 exec::SweepResult run_sharded_posix(const exec::SweepSpec& spec,
-                                    const ShardOptions& opts,
-                                    ShardReport* report_out) {
-  ShardReport report;
-  obs::Metrics sup_metrics;
-  sup_metrics.set_on(true);
-  const ShardMetricIds& ids = shard_metric_ids();
-
-  exec::SweepResult out;
-  out.series.experiment = spec.experiment;
-  out.series.x_label = spec.x_label;
-  out.series.y_label = spec.y_label;
-
+                                    int workers_wanted, ShardReport& report) {
+  exec::SweepResult out = exec::detail::empty_result(spec);
   const std::size_t trials = spec.resolved_trials();
-  const std::size_t cells = spec.cell_count();
-  out.cells_total = cells;
+  const std::size_t cells = out.cells_total;
   const std::string header = exec::detail::journal_header(spec);
 
   // Journals are the coordination substrate, so sharding always has a
@@ -224,80 +198,61 @@ exec::SweepResult run_sharded_posix(const exec::SweepSpec& spec,
   if (dir.empty()) {
     char tmpl[] = "/tmp/pcm-shard-XXXXXX";
     char* made = ::mkdtemp(tmpl);
-    if (made == nullptr) return degrade_to_run_sweep(spec, report_out);
+    if (made == nullptr) return exec::run_sweep(spec);
     dir = made;
     temp_dir = true;
   }
   const std::string base = exec::journal_path(dir, spec.experiment, header);
 
+  // The base journal opens exactly as in run_sweep. A resume also folds in
+  // the shard siblings a killed supervisor left behind — appended to the
+  // base journal first, so deleting them loses nothing. Without resume,
+  // stale siblings are just deleted so this run starts clean.
   std::vector<CellState> state(cells);
-
-  // Resume: merge the base journal AND any shard siblings a killed
-  // supervisor left behind — their cells are done, whatever the previous
-  // run's worker count was. Without resume, stale siblings are just
-  // deleted so this run starts clean.
+  std::optional<exec::CheckpointJournal> journal;
+  out.cells_resumed = exec::detail::open_journal(spec, journal, state);
+  exec::CheckpointJournal* const base_journal = journal ? &*journal : nullptr;
   if (spec.resume) {
-    std::size_t resumed = 0;
-    merge_journal_file(base, header, state, &resumed);
     for (const auto& sib : shard_siblings(base)) {
-      merge_journal_file(sib.string(), header, state, &resumed);
+      out.cells_resumed +=
+          merge_journal_file(sib.string(), header, state, base_journal);
     }
-    out.cells_resumed = resumed;
   }
-  for (const auto& sib : shard_siblings(base)) {
-    std::error_code ec;
-    std::filesystem::remove(sib, ec);
-  }
+  remove_shard_siblings(base);
 
-  // The trace cell is reserved for the supervisor: it must run with
+  // The trace cell is left to detail::finish: it must run with
   // observability forced on and its spans captured, which only makes sense
   // in the process that writes the trace file.
-  const bool tracing = !spec.trace_out.empty() && !spec.xs.empty();
-  const std::size_t trace_cell = tracing ? (spec.xs.size() - 1) * trials : 0;
-
+  const std::optional<std::size_t> traced = exec::detail::trace_cell(spec);
   std::vector<std::size_t> pending;
-  pending.reserve(cells);
   for (std::size_t c = 0; c < cells; ++c) {
-    if (!state[c].done && !(tracing && c == trace_cell)) pending.push_back(c);
+    if (!state[c].done && c != traced) pending.push_back(c);
   }
 
-  const int workers = std::max(
-      1, std::min<int>(opts.workers,
-                       static_cast<int>(std::max<std::size_t>(
-                           pending.size(), 1))));
-  report.workers_requested = workers;
+  const std::size_t workers =
+      std::min(static_cast<std::size_t>(workers_wanted), pending.size());
+  report.workers_requested = static_cast<int>(workers);
 
   // Round-robin assignment: shard k owns pending[i] with i % workers == k.
   // Interleaving keeps shards balanced when cell cost grows with x.
-  std::vector<ShardSlot> shards(static_cast<std::size_t>(workers));
+  std::vector<ShardSlot> shards(workers);
   for (std::size_t i = 0; i < pending.size(); ++i) {
-    shards[i % static_cast<std::size_t>(workers)].cells.push_back(pending[i]);
+    shards[i % workers].cells.push_back(pending[i]);
   }
-  for (ShardSlot& s : shards) {
-    if (s.cells.empty()) s.phase = ShardPhase::Finished;
-    s.next_spawn = Clock::now();
-  }
+  for (ShardSlot& s : shards) s.next_spawn = Clock::now();
 
+  const std::optional<double> deadline_ms = liveness_deadline_ms(spec);
   const auto chaos = fault::active_process_chaos();
   int spawn_ordinal = 0;
-  int total_spawns = 0;
 
   exec::ProgressReporter progress(std::cerr, spec.experiment, pending.size());
 
-  const auto abandon = [&](ShardSlot& s) {
-    s.phase = ShardPhase::Abandoned;
-    const std::size_t left = s.cells.size() - std::min(s.beats, s.cells.size());
-    report.cells_fallback += left;  // refined after the journal merge
-  };
-
   const auto spawn = [&](ShardSlot& s, int shard_index) {
-    if (total_spawns >= opts.max_total_spawns) {
-      abandon(s);
-      return;
-    }
     int fds[2];
     if (::pipe(fds) != 0) {
-      if (++s.spawn_failures > opts.max_spawn_failures) abandon(s);
+      if (++s.spawn_failures > kMaxSpawnFailures) {
+        s.phase = ShardPhase::Abandoned;
+      }
       return;
     }
     // Non-blocking read end: drain_pipe slurps until EAGAIN, so a beat
@@ -309,7 +264,6 @@ exec::SweepResult run_sharded_posix(const exec::SweepSpec& spec,
     job.dir = dir;
     job.header = header;
     job.shard = shard_index;
-    job.worker_jobs = opts.worker_jobs;
     job.cells = s.cells;
     job.hb_fd = fds[1];
     job.chaos = chaos ? chaos->decide(spawn_ordinal) : fault::ChaosDecision{};
@@ -322,7 +276,9 @@ exec::SweepResult run_sharded_posix(const exec::SweepSpec& spec,
     if (pid < 0) {
       ::close(fds[0]);
       ::close(fds[1]);
-      if (++s.spawn_failures > opts.max_spawn_failures) abandon(s);
+      if (++s.spawn_failures > kMaxSpawnFailures) {
+        s.phase = ShardPhase::Abandoned;
+      }
       return;
     }
     if (pid == 0) {
@@ -331,17 +287,11 @@ exec::SweepResult run_sharded_posix(const exec::SweepSpec& spec,
     }
     ::close(fds[1]);
     ++spawn_ordinal;
-    ++total_spawns;
     ++report.workers_spawned;
-    sup_metrics.add(ids.spawned);
-    const bool is_restart = s.restarts > 0 || s.stall_killed;
-    if (is_restart) {
+    if (s.restarts > 0 || s.stall_killed) {
       ++report.workers_restarted;
-      sup_metrics.add(ids.restarted);
-      const std::size_t left =
+      report.cells_reassigned +=
           s.cells.size() - std::min(s.beats, s.cells.size());
-      report.cells_reassigned += left;
-      sup_metrics.add(ids.reassigned, left);
     }
     s.pid = pid;
     s.pipe_fd = fds[0];
@@ -362,16 +312,13 @@ exec::SweepResult run_sharded_posix(const exec::SweepSpec& spec,
       return;
     }
     ++report.workers_lost;
-    sup_metrics.add(ids.lost);
-    if (++s.restarts > opts.max_restarts_per_shard ||
-        total_spawns >= opts.max_total_spawns) {
-      abandon(s);
+    if (++s.restarts > kMaxRestartsPerShard) {
+      s.phase = ShardPhase::Abandoned;
       return;
     }
-    const double backoff =
-        std::min(opts.backoff_initial_ms * static_cast<double>(1 << std::min(
-                                               s.restarts - 1, 20)),
-                 opts.backoff_max_ms);
+    const double backoff = std::min(
+        kBackoffInitialMs * static_cast<double>(1 << (s.restarts - 1)),
+        kBackoffMaxMs);
     s.phase = ShardPhase::NeedsSpawn;
     s.next_spawn = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                       std::chrono::duration<double, std::milli>(
@@ -383,11 +330,7 @@ exec::SweepResult run_sharded_posix(const exec::SweepSpec& spec,
     while (true) {
       const ssize_t n = ::read(s.pipe_fd, buf, sizeof buf);
       if (n <= 0) break;  // EOF or EAGAIN — drained
-      const Clock::time_point now = Clock::now();
-      sup_metrics.observe(
-          ids.heartbeat_gap_ms,
-          static_cast<std::uint64_t>(ms_between(s.last_beat, now)));
-      s.last_beat = now;
+      s.last_beat = Clock::now();
       s.buf.append(buf, static_cast<std::size_t>(n));
       std::size_t nl;
       while ((nl = s.buf.find('\n')) != std::string::npos) {
@@ -427,19 +370,15 @@ exec::SweepResult run_sharded_posix(const exec::SweepSpec& spec,
         fd_shard.push_back(k);
       }
     }
-    // Wake often enough to notice heartbeat deadlines and backoff expiries
-    // without busy-spinning.
-    const int timeout_ms = static_cast<int>(std::clamp(
-        opts.heartbeat_timeout_ms / 4.0, 5.0, 100.0));
     if (!fds.empty()) {
-      (void)::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
+      (void)::poll(fds.data(), static_cast<nfds_t>(fds.size()), kPollMs);
       for (std::size_t i = 0; i < fds.size(); ++i) {
         if ((fds[i].revents & (POLLIN | POLLHUP)) != 0) {
           drain_pipe(shards[fd_shard[i]]);
         }
       }
     } else {
-      ::usleep(static_cast<useconds_t>(timeout_ms) * 1000);
+      ::usleep(static_cast<useconds_t>(kPollMs) * 1000);
     }
 
     // Reap every child that has exited.
@@ -459,10 +398,11 @@ exec::SweepResult run_sharded_posix(const exec::SweepSpec& spec,
 
     // Liveness: SIGKILL any worker whose heartbeat gap blew the deadline.
     // The kill surfaces through waitpid on the next iteration.
+    if (!deadline_ms) continue;
     const Clock::time_point after = Clock::now();
     for (ShardSlot& s : shards) {
       if (s.phase != ShardPhase::Running || s.stall_killed) continue;
-      if (ms_between(s.last_beat, after) > opts.heartbeat_timeout_ms) {
+      if (ms_between(s.last_beat, after) > *deadline_ms) {
         s.stall_killed = true;
         ::kill(s.pid, SIGKILL);
       }
@@ -472,63 +412,24 @@ exec::SweepResult run_sharded_posix(const exec::SweepSpec& spec,
   // ---- merge ---------------------------------------------------------------
   // Shard journals are the ground truth of what workers completed; beats
   // are only a live approximation (a cell journalled at the instant of a
-  // kill may never have heartbeated).
+  // kill may never have heartbeated). Once folded into the base journal
+  // the shard journals are redundant.
   for (std::size_t k = 0; k < shards.size(); ++k) {
-    merge_journal_file(base + ".shard-" + std::to_string(k), header, state,
-                       nullptr);
-  }
-
-  // ---- in-process fallback (plus the reserved trace cell) ------------------
-  std::optional<exec::detail::TraceCapture> capture;
-  {
-    std::vector<std::size_t> leftovers;
-    for (std::size_t c = 0; c < cells; ++c) {
-      if (!state[c].done) leftovers.push_back(c);
-    }
-    report.cells_fallback = leftovers.size();
-    if (tracing) {
-      report.cells_fallback -= state[trace_cell].done ? 0 : 1;
-    }
-    if (!leftovers.empty()) {
-      const sim::Rng root = exec::detail::seed_root(spec);
-      for (const std::size_t c : leftovers) {
-        exec::detail::run_cell(spec, root, c, tracing, trace_cell, &capture,
-                               state[c]);
-        progress.cell_done(spec.xs[c / trials], static_cast<int>(c % trials));
-      }
-    }
-    sup_metrics.add(ids.fallback, report.cells_fallback);
-  }
-
-  // ---- persist & clean up --------------------------------------------------
-  if (!temp_dir) {
-    // Fold everything into the base journal so a later --resume (or a
-    // plain run_sweep) sees one authoritative file.
-    exec::CheckpointJournal journal(dir, spec.experiment, header, spec.resume);
-    for (std::size_t c = 0; c < cells; ++c) {
-      if (state[c].done &&
-          journal.loaded().find(c) == journal.loaded().end()) {
-        journal.append(exec::detail::journal_entry_of(c, state[c]));
-      }
-    }
-  }
-  for (const auto& sib : shard_siblings(base)) {
-    std::error_code ec;
-    std::filesystem::remove(sib, ec);
+    (void)merge_journal_file(base + ".shard-" + std::to_string(k), header,
+                             state, base_journal);
   }
   if (temp_dir) {
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
+  } else {
+    remove_shard_siblings(base);
+  }
+  for (std::size_t c = 0; c < cells; ++c) {
+    if (!state[c].done && c != traced) ++report.cells_fallback;
   }
 
-  exec::detail::assemble(spec, state, &out);
-  if (capture) {
-    obs::write_chrome_trace(spec.trace_out, capture->machine_name,
-                            capture->spans);
-  }
-
-  report.metrics = sup_metrics.snapshot();
-  if (report_out != nullptr) *report_out = report;
+  // ---- the one cell path: fallback cells, the trace cell, assembly ---------
+  exec::detail::finish(spec, state, base_journal, &out);
   return out;
 }
 
@@ -536,17 +437,17 @@ exec::SweepResult run_sharded_posix(const exec::SweepSpec& spec,
 
 }  // namespace
 
-exec::SweepResult run_sharded_sweep(const exec::SweepSpec& spec,
-                                    const ShardOptions& opts,
+exec::SweepResult run_sharded_sweep(const exec::SweepSpec& spec, int workers,
                                     ShardReport* report) {
+  ShardReport local;
+  ShardReport& rep = report != nullptr ? *report : local;
+  rep = ShardReport{};
 #ifdef PCM_SHARD_POSIX
-  if (opts.workers <= 1 || spec.cell_count() == 0) {
-    return degrade_to_run_sweep(spec, report);
+  if (workers > 1 && spec.cell_count() > 0) {
+    return run_sharded_posix(spec, workers, rep);
   }
-  return run_sharded_posix(spec, opts, report);
-#else
-  return degrade_to_run_sweep(spec, report);
 #endif
+  return exec::run_sweep(spec);
 }
 
 }  // namespace pcm::shard

@@ -155,7 +155,7 @@ TEST(Reproduction, MasParVendorComparison) {
   const auto a = test::random_matrix<float>(n, 7);
   const auto b = test::random_matrix<float>(n, 8);
   const auto model = algos::run_matmul<float>(*m, a, b, n, algos::MatmulVariant::Bpram);
-  const double vendor = vendor::maspar_matmul_time(n);
+  const double vendor = 2.0 * n * n * n / vendor::maspar_matmul_mflops(n);
   EXPECT_LT(vendor, model.time);          // intrinsic wins
   EXPECT_LT(model.time, 2.2 * vendor);    // penalty acceptable (~35% at 700)
 }
@@ -167,7 +167,7 @@ TEST(Reproduction, Cm5VendorComparison) {
   const auto a = test::random_matrix<double>(n, 9);
   const auto b = test::random_matrix<double>(n, 10);
   const auto model = algos::run_matmul<double>(*m, a, b, n, algos::MatmulVariant::Bpram);
-  const double vendor = vendor::cmssl_time(n);
+  const double vendor = 2.0 * n * n * n / vendor::cmssl_mflops(n);
   EXPECT_LT(model.time, vendor);
   EXPECT_GT(model.mflops, 151.0);  // above CMSSL's ceiling
 }

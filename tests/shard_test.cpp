@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
+#include "exec/checkpoint.hpp"
 #include "exec/sweep.hpp"
 #include "fault/process_chaos.hpp"
 #include "obs/obs.hpp"
@@ -14,8 +18,10 @@
 // ledger, same metrics — at any worker count, under any seeded schedule of
 // worker kills and stalls, and across supervisor resumption. These tests
 // drive every supervision path (clean run, chaos kills, heartbeat-stall
-// detection, spawn-budget exhaustion into the in-process fallback) and
-// assert the invariant each time.
+// detection past the deadline the cell timeout implies, restart-budget
+// exhaustion into the in-process fallback, a slow cell with no deadline)
+// through the spec and the chaos plan alone, and assert the invariant each
+// time.
 
 namespace pcm {
 namespace {
@@ -76,18 +82,6 @@ exec::SweepSpec grid_spec() {
   return spec;
 }
 
-/// Small supervision budgets so even the unhappy paths finish in
-/// milliseconds, with a liveness deadline generous enough that a healthy
-/// worker is never mistaken for a hung one on a loaded CI box.
-shard::ShardOptions quick_opts(int workers) {
-  shard::ShardOptions opts;
-  opts.workers = workers;
-  opts.heartbeat_timeout_ms = 5000.0;
-  opts.backoff_initial_ms = 5.0;
-  opts.backoff_max_ms = 20.0;
-  return opts;
-}
-
 struct ChaosGuard {
   ~ChaosGuard() { fault::set_process_chaos(std::nullopt); }
 };
@@ -99,7 +93,7 @@ TEST(ShardedSweep, ByteIdenticalAcrossWorkerCounts) {
   for (const int workers : {1, 2, 4}) {
     shard::ShardReport report;
     const auto sharded =
-        shard::run_sharded_sweep(grid_spec(), quick_opts(workers), &report);
+        shard::run_sharded_sweep(grid_spec(), workers, &report);
     expect_same_result(ref, sharded);
     if (workers > 1) {
       EXPECT_EQ(report.workers_spawned, report.workers_requested);
@@ -125,38 +119,38 @@ TEST(ShardedSweep, ByteIdenticalUnderSeededKillSchedule) {
   fault::set_process_chaos(chaos);
 
   shard::ShardReport report;
-  const auto sharded =
-      shard::run_sharded_sweep(grid_spec(), quick_opts(2), &report);
+  const auto sharded = shard::run_sharded_sweep(grid_spec(), 2, &report);
   expect_same_result(ref, sharded);
   EXPECT_GE(report.workers_lost, 3);
   EXPECT_GE(report.workers_restarted, 3);
   EXPECT_GE(report.cells_reassigned, 1u);
   EXPECT_EQ(report.cells_fallback, 0u);
   EXPECT_TRUE(report.degraded());
-  // The supervisor heartbeat-gap histogram saw every beat.
-  const auto* gap = report.metrics.find("shard.heartbeat_gap_ms");
-  ASSERT_NE(gap, nullptr);
-  EXPECT_GT(gap->hist.count, 0u);
 }
 
 TEST(ShardedSweep, StalledWorkerIsKilledAndReplaced) {
   ChaosGuard off;
   fault::set_process_chaos(std::nullopt);
-  const auto ref = exec::run_sweep(grid_spec());
+  // A cell timeout bounds every healthy cell, so it also bounds the
+  // heartbeat gap of a healthy worker.
+  auto spec = grid_spec();
+  spec.cell_timeout_ms = 200.0;
+  const auto deadline = shard::liveness_deadline_ms(spec);
+  ASSERT_TRUE(deadline.has_value());
+  EXPECT_EQ(*deadline, 200.0 + shard::kLivenessGraceMs);
+  const auto ref = exec::run_sweep(spec);
 
-  // The first spawn goes silent for 10x the liveness deadline; the
-  // supervisor must SIGKILL it and finish through the replacement.
+  // The first spawn goes silent well past that deadline; the supervisor
+  // must SIGKILL it and finish through the replacement.
   fault::ProcessChaos chaos;
   chaos.seed = 3;
   chaos.stall_rate = 1.0;
-  chaos.stall_ms = 1500.0;
+  chaos.stall_ms = *deadline + 1000.0;
   chaos.max_events = 1;
   fault::set_process_chaos(chaos);
 
-  auto opts = quick_opts(2);
-  opts.heartbeat_timeout_ms = 150.0;
   shard::ShardReport report;
-  const auto sharded = shard::run_sharded_sweep(grid_spec(), opts, &report);
+  const auto sharded = shard::run_sharded_sweep(spec, 2, &report);
   expect_same_result(ref, sharded);
   EXPECT_GE(report.workers_lost, 1);
   EXPECT_GE(report.workers_restarted, 1);
@@ -167,14 +161,50 @@ TEST(ShardedSweep, SpawnBudgetExhaustionFallsBackInProcess) {
   fault::set_process_chaos(std::nullopt);
   const auto ref = exec::run_sweep(grid_spec());
 
-  auto opts = quick_opts(4);
-  opts.max_total_spawns = 0;  // no forks allowed at all
+  // Every spawn dies right after journalling its first cell, so a shard
+  // finishes one cell per incarnation. Each of the two shards owns six
+  // cells but may spawn only 1 + kMaxRestartsPerShard times; the cells its
+  // incarnations never reach must run in-process.
+  fault::ProcessChaos chaos;
+  chaos.seed = 5;
+  chaos.kill_rate = 1.0;
+  fault::set_process_chaos(chaos);
+
   shard::ShardReport report;
-  const auto sharded = shard::run_sharded_sweep(grid_spec(), opts, &report);
+  const auto sharded = shard::run_sharded_sweep(grid_spec(), 2, &report);
   expect_same_result(ref, sharded);
-  EXPECT_EQ(report.workers_spawned, 0);
-  EXPECT_EQ(report.cells_fallback, grid_spec().cell_count());
+  EXPECT_EQ(report.workers_spawned, 2 * (1 + shard::kMaxRestartsPerShard));
+  EXPECT_EQ(report.workers_lost, report.workers_spawned);
+  EXPECT_GT(report.cells_fallback, 0u);
+  EXPECT_EQ(report.cells_fallback +
+                static_cast<std::size_t>(report.workers_spawned),
+            grid_spec().cell_count());
   EXPECT_TRUE(report.degraded());
+}
+
+TEST(ShardedSweep, SlowCellWithoutTimeoutIsNotKilled) {
+  ChaosGuard off;
+  fault::set_process_chaos(std::nullopt);
+  const auto ref = exec::run_sweep(grid_spec());
+
+  // No cell timeout, so no liveness deadline: a cell that runs past the
+  // grace is slow, not hung, and must finish in its worker.
+  auto spec = grid_spec();
+  ASSERT_FALSE(shard::liveness_deadline_ms(spec).has_value());
+  const auto measure = spec.measure;
+  spec.measure = [measure](exec::TrialContext& ctx) {
+    if (ctx.x == 4.0 && ctx.trial == 0) {
+      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+          shard::kLivenessGraceMs + 500.0));
+    }
+    return measure(ctx);
+  };
+  shard::ShardReport report;
+  const auto sharded = shard::run_sharded_sweep(spec, 2, &report);
+  expect_same_result(ref, sharded);
+  EXPECT_EQ(report.workers_lost, 0);
+  EXPECT_EQ(report.cells_fallback, 0u);
+  EXPECT_FALSE(report.degraded());
 }
 
 TEST(ShardedSweep, MergedJournalIsResumableByBothEngines) {
@@ -184,7 +214,7 @@ TEST(ShardedSweep, MergedJournalIsResumableByBothEngines) {
 
   auto spec = grid_spec();
   spec.checkpoint_dir = dir;
-  const auto first = shard::run_sharded_sweep(spec, quick_opts(2), nullptr);
+  const auto first = shard::run_sharded_sweep(spec, 2, nullptr);
 
   // The supervisor folded all shard journals into the base journal, so a
   // plain in-process --resume (and a sharded one) must skip every cell and
@@ -197,10 +227,56 @@ TEST(ShardedSweep, MergedJournalIsResumableByBothEngines) {
   EXPECT_EQ(resumed_inproc.cells_resumed, spec.cell_count());
   expect_same_result(first, resumed_inproc);
 
-  const auto resumed_sharded =
-      shard::run_sharded_sweep(spec, quick_opts(2), nullptr);
+  const auto resumed_sharded = shard::run_sharded_sweep(spec, 2, nullptr);
   EXPECT_EQ(resumed_sharded.cells_resumed, spec.cell_count());
   expect_same_result(first, resumed_sharded);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardedSweep, ResumeFoldsLeftoverShardJournals) {
+  ChaosGuard off;
+  fault::set_process_chaos(std::nullopt);
+  const std::string dir = testing::TempDir() + "pcm-shard-test-siblings";
+  std::filesystem::remove_all(dir);
+
+  // A killed supervisor leaves the base journal with its header only and
+  // the workers' shard journals beside it. Stage that: cells 0..5 (x = 1
+  // and 2, including the poisoned cell) sit in a shard sibling.
+  auto spec = grid_spec();
+  spec.checkpoint_dir = dir;
+  const auto ref = exec::run_sweep(spec);
+  const std::string header = exec::detail::journal_header(spec);
+  const auto full = exec::read_journal(
+      exec::journal_path(dir, spec.experiment, header), header);
+  ASSERT_EQ(full.entries.size(), spec.cell_count());
+  {
+    exec::CheckpointJournal base(dir, spec.experiment, header, false);
+    exec::CheckpointJournal sibling(dir, spec.experiment, header, false,
+                                    ".shard-1");
+    for (std::size_t c = 0; c < 6; ++c) sibling.append(full.entries.at(c));
+  }
+
+  spec.resume = true;
+  const auto measure = spec.measure;
+  spec.measure = [measure](exec::TrialContext& ctx) {
+    if (ctx.x <= 2.0) throw std::logic_error("re-ran a journalled cell");
+    return measure(ctx);
+  };
+  const auto resumed = shard::run_sharded_sweep(spec, 2, nullptr);
+  EXPECT_EQ(resumed.cells_resumed, 6u);
+  expect_same_result(ref, resumed);
+
+  // The sibling's cells now live in the base journal and the sibling is
+  // gone, so a plain resume finds every cell.
+  EXPECT_FALSE(std::filesystem::exists(
+      exec::journal_path(dir, spec.experiment, header) + ".shard-1"));
+  spec.measure = [](exec::TrialContext&) -> double {
+    throw std::logic_error("resume should not re-run any cell");
+  };
+  const auto again = exec::run_sweep(spec);
+  EXPECT_EQ(again.cells_resumed, spec.cell_count());
+  expect_same_result(ref, again);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedSweep, MetricsSurviveTheProcessBoundary) {
@@ -208,8 +284,7 @@ TEST(ShardedSweep, MetricsSurviveTheProcessBoundary) {
   fault::set_process_chaos(std::nullopt);
   obs::set_enabled(true);
   const auto ref = exec::run_sweep(grid_spec());
-  const auto sharded =
-      shard::run_sharded_sweep(grid_spec(), quick_opts(4), nullptr);
+  const auto sharded = shard::run_sharded_sweep(grid_spec(), 4, nullptr);
   obs::set_enabled(false);
   ASSERT_FALSE(ref.metrics.empty());
   // Snapshots crossed the worker->supervisor boundary encoded in the shard
@@ -233,7 +308,7 @@ TEST(ShardedSweep, TimesOutAHungCellInAWorker) {
   };
   const auto ref = exec::run_sweep(spec);
   shard::ShardReport report;
-  const auto sharded = shard::run_sharded_sweep(spec, quick_opts(2), &report);
+  const auto sharded = shard::run_sharded_sweep(spec, 2, &report);
   EXPECT_EQ(report.cells_fallback, 0u);
 
   ASSERT_EQ(sharded.failures.size(), 1u);

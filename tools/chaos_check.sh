@@ -69,7 +69,7 @@ KILLED=0
 i=0
 while [ "$i" -lt 2000 ]; do
   # Progress shows up in the workers' shard journals first; the base
-  # journal only exists once the supervisor merges.
+  # journal holds only its header until the supervisor merges.
   if grep -Eq "$RECORD" "$WORK/journal"/*.journal* 2>/dev/null; then
     if kill -KILL "$PID" 2>/dev/null; then
       KILLED=1

@@ -7,7 +7,9 @@ baseline and the post-optimisation time on the machine that produced them.
 CI re-runs the benchmarks and fails when any tracked benchmark regresses
 more than --tolerance (default 10%) against its checked-in `post_ns`,
 scale-corrected through a reference benchmark so absolute machine speed
-cancels out.
+cancels out. A run with --benchmark_repetitions=K holds K samples per
+benchmark; the gate compares their median, so one noisy sample (of the
+reference above all) cannot decide the verdict.
 
 Usage:
   tools/perf_gate.py --baseline BENCH_hotloop.json --run current.json
@@ -18,14 +20,15 @@ Exit code 0 = within tolerance, 1 = regression, 2 = bad input.
 
 import argparse
 import json
+import statistics
 import sys
 
 
 def load_run(path):
-    """name -> real_time (ns) from a google-benchmark JSON file."""
+    """name -> median real_time (ns) over that name's repetitions."""
     with open(path) as f:
         data = json.load(f)
-    times = {}
+    samples = {}
     for b in data.get("benchmarks", []):
         if b.get("run_type", "iteration") == "aggregate":
             continue
@@ -35,8 +38,8 @@ def load_run(path):
             print(f"perf_gate: unknown time_unit '{unit}' in {path}",
                   file=sys.stderr)
             sys.exit(2)
-        times[b["name"]] = b["real_time"] * scale
-    return times
+        samples.setdefault(b["name"], []).append(b["real_time"] * scale)
+    return {name: statistics.median(ts) for name, ts in samples.items()}
 
 
 def main():
